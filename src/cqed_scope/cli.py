@@ -144,7 +144,7 @@ def cmd_scan(args: argparse.Namespace) -> None:
         observe,
         cfg.fock_cutoff,
         channels=cfg.channels,
-        workers=cfg.workers,
+        residual_tol=cfg.steady_residual_tol,
     )
     data = _maybe_noisy(cfg, data)
     path = _output_path(cfg, "scan", args.out)
@@ -175,7 +175,7 @@ def cmd_power_sweep(args: argparse.Namespace) -> None:
         channels=cfg.channels,
         scan_points=cfg.scan_points,
         span_fwhm=cfg.scan_span_fwhm,
-        workers=cfg.workers,
+        residual_tol=cfg.steady_residual_tol,
     )
     saturation = _maybe_noisy(cfg, result.saturation, seed_offset=0)
     sat_path = _output_path(cfg, "saturation", args.saturation_out)

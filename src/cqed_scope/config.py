@@ -106,7 +106,6 @@ class RunConfig:
     scan_span_fwhm: float = 6.0
     seed: int = 7
     noise_relative: float = 0.0
-    workers: int = 1
     steady_residual_tol: float = 1e-9
     output_directory: str = "."
     output_stem: str = "cqed"
@@ -288,12 +287,14 @@ def parse_config(path: str | Path) -> RunConfig:
             kwargs["noise_relative"] = _get_float(num, "noise_relative", source)
             if not 0.0 <= kwargs["noise_relative"] <= 0.5:
                 raise ConfigError(f"{source}: noise_relative must lie in [0, 0.5]")
-        if "workers" in num:
-            kwargs["workers"] = _get_int(num, "workers", source)
-            if kwargs["workers"] < 1:
-                raise ConfigError(f"{source}: workers must be >= 1")
+        # Accepted for compatibility and validated, but scans run serially.
+        if "workers" in num and _get_int(num, "workers", source) < 1:
+            raise ConfigError(f"{source}: workers must be >= 1")
         if "steady_residual_tol" in num:
-            kwargs["steady_residual_tol"] = _get_float(num, "steady_residual_tol", source)
+            tol = _get_float(num, "steady_residual_tol", source)
+            if not (np.isfinite(tol) and tol > 0.0):
+                raise ConfigError(f"{source}: steady_residual_tol must be finite and > 0")
+            kwargs["steady_residual_tol"] = tol
 
     if "output" in parser:
         out = parser["output"]

@@ -44,21 +44,16 @@ def dagger(op: np.ndarray) -> np.ndarray:
     return op.conj().T
 
 
-def tensor(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor as the slow index."""
-    return np.kron(left, right)
-
-
 def lift_qd(op: np.ndarray, n_max: int) -> np.ndarray:
     """Embed a 2x2 dot operator into the full space (acts as identity on photons)."""
-    return tensor(op, identity(n_max + 1))
+    return np.kron(op, identity(n_max + 1))
 
 
 def lift_cavity(op: np.ndarray, n_max: int) -> np.ndarray:
     """Embed a cavity operator into the full space (identity on the dot)."""
     if op.shape != (n_max + 1, n_max + 1):
         raise ValueError(f"cavity operator shape {op.shape} does not match cutoff {n_max}")
-    return tensor(identity(2), op)
+    return np.kron(identity(2), op)
 
 
 def basis_index(qd: int, photon: int, n_max: int) -> int:

@@ -18,7 +18,8 @@ acting on the row-major flattening of rho: ``vec(A rho B) = (A kron B^T) vec(rho
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def build_hamiltonian(params: SystemParams, drive: DriveSpec, n_max: int) -> np.
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Dense superoperator together with the pieces it was assembled from.
+    """Dense superoperator together with the collapse terms it was assembled from.
 
     ``matrix`` has shape ``(dim**2, dim**2)`` and acts on row-major flattened
     density matrices.  ``collapse_terms`` records ``(rate, operator)`` pairs
@@ -75,7 +76,6 @@ class Liouvillian:
 
     dim: int
     matrix: np.ndarray
-    hamiltonian: np.ndarray
     collapse_terms: tuple[tuple[float, np.ndarray], ...] = field(default_factory=tuple)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -115,7 +115,7 @@ def assemble_liouvillian(
             - 0.5 * np.kron(eye, opdag_op.T)
         )
         kept.append((rate, op))
-    return Liouvillian(dim=dim, matrix=matrix, hamiltonian=hamiltonian, collapse_terms=tuple(kept))
+    return Liouvillian(dim=dim, matrix=matrix, collapse_terms=tuple(kept))
 
 
 def build_liouvillian(
@@ -140,6 +140,32 @@ def build_liouvillian(
         (channels.transfer_cavity_to_qd, dagger(sm) @ a),
     ]
     return assemble_liouvillian(hamiltonian, terms)
+
+
+def laser_scan_liouvillians(
+    params: SystemParams,
+    drive: DriveSpec,
+    n_max: int,
+    channels: IncoherentChannels | None,
+    laser_omegas: list[float],
+) -> Iterator[Liouvillian]:
+    """Liouvillians at each laser frequency, assembled once at the middle one.
+
+    In the laser frame ``omega_l`` enters only as ``-omega_l N`` with the diagonal ``N =
+    sigma^+ sigma + a^+ a``, built here as in the Hamiltonian; moving the laser by ``d`` adds
+    ``d * i (N_ii - N_jj)`` to the entry for ``rho_ij``.  A nearby reference keeps digits.
+    """
+    omega_ref = laser_omegas[len(laser_omegas) // 2]
+    ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
+    reference = build_liouvillian(ham, params, channels)
+    sm = lift_qd(qd_lowering(), n_max)
+    a = lift_cavity(annihilation(n_max), n_max)
+    number = np.diag(dagger(sm) @ sm + dagger(a) @ a).real
+    shift = 1j * np.subtract.outer(number, number).ravel()
+    for omega in laser_omegas:
+        matrix = reference.matrix.copy()
+        matrix[np.diag_indices_from(matrix)] += (omega - omega_ref) * shift
+        yield replace(reference, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +229,10 @@ def steady_state(liouvillian: Liouvillian, residual_tol: float = STEADY_RESIDUAL
             f"steady-state residual {residual:.3e} exceeds tolerance; "
             "the generator may be near-degenerate"
         )
-    validate_density_matrix(rho, context="steady state")
+    try:
+        validate_density_matrix(rho, context="steady state")
+    except ValueError as exc:
+        raise NumericalError(str(exc)) from exc
     return SteadyState(rho=rho, residual=residual, observables=_observables(rho))
 
 
@@ -283,29 +312,23 @@ def evolve(
     return Trajectory(times=samples, states=states, max_trace_drift=drift)
 
 
-def _occupations(
-    params: SystemParams, drive: DriveSpec, n_max: int, channels: IncoherentChannels | None
-) -> tuple[float, float]:
-    ham = build_hamiltonian(params, drive, n_max)
-    ss = steady_state(build_liouvillian(ham, params, channels))
-    return float(ss.observables["n_cavity"]), float(ss.observables["n_qd"])
-
-
 def truncation_check(
     params: SystemParams,
     drive: DriveSpec,
     n_max: int,
     channels: IncoherentChannels | None = None,
+    residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> tuple[bool, float]:
     """Compare steady occupations at cutoffs ``n_max`` and ``n_max + 2``.
 
     Returns ``(converged, worst_relative_change)``.  The relative change uses
     an absolute floor of 1e-6 occupation so that empty-cavity round-off does
-    not register as disagreement.
+    not register as disagreement.  Both solves use ``residual_tol``.
     """
-    coarse = _occupations(params, drive, n_max, channels)
-    fine = _occupations(params, drive, n_max + 2, channels)
-    worst = 0.0
-    for lo, hi in zip(coarse, fine):
-        worst = max(worst, abs(lo - hi) / max(abs(lo), abs(hi), 1e-6))
+    occupations = []
+    for cutoff in (n_max, n_max + 2):
+        ham = build_hamiltonian(params, drive, cutoff)
+        obs = steady_state(build_liouvillian(ham, params, channels), residual_tol).observables
+        occupations.append((float(obs["n_cavity"]), float(obs["n_qd"])))
+    worst = max(abs(lo - hi) / max(abs(lo), abs(hi), 1e-6) for lo, hi in zip(*occupations))
     return worst < TRUNCATION_RTOL, worst

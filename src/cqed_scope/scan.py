@@ -3,15 +3,14 @@
 A scan point is one steady-state solve of the master equation with the
 laser at a given wavelength; the recorded signal is the photon flux of the
 observed decay channel, ``2*kappa*<a^+a>`` for cavity emission or
-``2*gamma*<sigma^+sigma>`` for direct dot emission.  Grid points are
-independent, so they may be evaluated concurrently; results are assembled
-in grid order and are bit-identical for any worker count.
+``2*gamma*<sigma^+sigma>`` for direct dot emission.  Only the laser
+frequency changes along a scan, so each scan assembles one Liouvillian and
+solves a copy of it shifted to every grid point.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,8 @@ from .analytic import (
     polariton_frequencies,
 )
 from .dataset import ScanKind, SpectrumDataset
-from .errors import ConfigError, ScanError, TruncationError
-from .lindblad import build_hamiltonian, build_liouvillian, steady_state, truncation_check
+from .errors import ConfigError, NumericalError, ScanError, TruncationError
+from .lindblad import STEADY_RESIDUAL_TOL, laser_scan_liouvillians, steady_state, truncation_check
 from .model import (
     DriveSpec,
     DriveTarget,
@@ -46,33 +45,43 @@ class EmissionChannel(enum.Enum):
     QD = "qd"
 
 
-def _emission_signal(params: SystemParams, observe: EmissionChannel, observables: dict) -> float:
-    if observe is EmissionChannel.CAVITY:
-        value = 2.0 * params.kappa * float(observables["n_cavity"])
-    else:
-        value = 2.0 * params.gamma * float(observables["n_qd"])
-    if value < 0.0:
-        if value < -1e-12:
-            raise ScanError(f"negative emission signal {value:.3e}")
-        value = 0.0
-    return value
-
-
-def _solve_point(
+def _emission(
     params: SystemParams,
     drive_template: DriveSpec,
     channels: IncoherentChannels | None,
     observe: EmissionChannel,
     n_max: int,
-    wavelength_nm: float,
-) -> float:
-    drive = drive_template.with_laser_frequency(wavelength_to_angular_frequency(wavelength_nm))
-    try:
-        ham = build_hamiltonian(params, drive, n_max)
-        ss = steady_state(build_liouvillian(ham, params, channels))
-    except Exception as exc:
-        raise ScanError(f"steady state failed at {wavelength_nm:.6f} nm: {exc}") from exc
-    return _emission_signal(params, observe, ss.observables)
+    wavelengths_nm: np.ndarray,
+    residual_tol: float,
+) -> np.ndarray:
+    """Emission signal at each wavelength, one steady-state solve per point."""
+    cavity = observe is EmissionChannel.CAVITY
+    rate, key = (params.kappa, "n_cavity") if cavity else (params.gamma, "n_qd")
+    omegas = [wavelength_to_angular_frequency(float(lam)) for lam in wavelengths_nm]
+    liouvillians = laser_scan_liouvillians(params, drive_template, n_max, channels, omegas)
+    values = []
+    for lam, liouvillian in zip(wavelengths_nm, liouvillians):
+        try:
+            ss = steady_state(liouvillian, residual_tol)
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
+        value = 2.0 * rate * float(ss.observables[key])
+        if value < -1e-12:
+            raise ScanError(f"negative emission signal {value:.3e}")
+        values.append(max(value, 0.0))
+    return np.array(values)
+
+
+def _check_cutoff(
+    params: SystemParams,
+    probe: DriveSpec,
+    n_max: int,
+    channels: IncoherentChannels | None,
+    residual_tol: float,
+) -> None:
+    converged, change = truncation_check(params, probe, n_max, channels, residual_tol)
+    if not converged:
+        raise TruncationError(f"cutoff {n_max} not converged (change {change:.2e}); increase it")
 
 
 def scan_laser(
@@ -82,8 +91,8 @@ def scan_laser(
     observe: EmissionChannel,
     n_max: int,
     channels: IncoherentChannels | None = None,
-    workers: int | None = None,
     check_truncation: bool = True,
+    residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> SpectrumDataset:
     """Steady emission while stepping the laser across a wavelength grid.
 
@@ -100,8 +109,8 @@ def scan_laser(
     n_max
         Fock cutoff; checked against ``n_max + 2`` at the grid centre
         unless ``check_truncation`` is disabled.
-    workers
-        Number of threads; point order in the output never depends on it.
+    residual_tol
+        Steady-state residual tolerance for every solve, the check included.
     """
     grid = np.asarray(wavelengths_nm, dtype=float)
     if grid.ndim != 1 or grid.size < 5:
@@ -120,29 +129,12 @@ def scan_laser(
     if check_truncation:
         centre = float(grid[grid.size // 2])
         probe = drive_template.with_laser_frequency(wavelength_to_angular_frequency(centre))
-        converged, change = truncation_check(params, probe, n_max, channels)
-        if not converged:
-            raise TruncationError(
-                f"cutoff {n_max} not converged (relative change {change:.2e}); increase it"
-            )
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(
-                pool.map(
-                    lambda lam: _solve_point(params, drive_template, channels, observe, n_max, lam),
-                    grid,
-                )
-            )
-    else:
-        values = [
-            _solve_point(params, drive_template, channels, observe, n_max, lam) for lam in grid
-        ]
+        _check_cutoff(params, probe, n_max, channels, residual_tol)
 
     return SpectrumDataset(
         kind=ScanKind.LASER_WAVELENGTH,
         x=grid,
-        y=np.array(values),
+        y=_emission(params, drive_template, channels, observe, n_max, grid, residual_tol),
         x_unit="nm",
         y_unit="intensity",
         meta={
@@ -218,14 +210,16 @@ def power_sweep(
     channels: IncoherentChannels | None = None,
     scan_points: int = 201,
     span_fwhm: float = 6.0,
-    workers: int | None = None,
+    residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> PowerSweepResult:
     """Emulate a power series: one laser scan per drive power.
 
     For every power the laser is scanned across the driven branch over a
     window of at least ``span_fwhm`` predicted linewidths (minimum 201
     points); the on-resonance signal goes into the saturation dataset and a
-    Lorentzian fit of the scan yields the linewidth dataset (GHz).
+    Lorentzian fit of the scan yields the linewidth dataset (GHz).  The Fock
+    cutoff is checked once, at the highest power, where it is most likely
+    to fall short.
     """
     if drive_template.alpha is None:
         raise ValueError("power sweeps need a power-style drive template (alpha set)")
@@ -241,44 +235,30 @@ def power_sweep(
 
     centre = _scan_centre(params, drive_template)
     centre_nm = angular_frequency_to_wavelength(centre)
+    top = drive_template.with_power(float(powers[-1])).with_laser_frequency(centre)
+    _check_cutoff(params, top, n_max, channels, residual_tol)
 
-    checked_truncation = False
-    intensities: list[float] = []
-    fitted_powers: list[float] = []
+    # Powers rise from >= 0, so only the first can be zero: no drive, no line to fit.
+    skipped = tuple(float(p) for p in powers[:1] if p == 0.0)
+    fitted_powers = powers[len(skipped) :]
+    intensities: list[float] = [0.0] * len(skipped)
     fitted_fwhm_ghz: list[float] = []
-    skipped: list[float] = []
-    for power in powers:
+    for power in fitted_powers:
         drive = drive_template.with_power(float(power)).with_laser_frequency(centre)
-        if power == 0.0:
-            intensities.append(0.0)
-            skipped.append(float(power))
-            continue
-        predicted = _predicted_fwhm(params, drive)
-        grid = wavelength_window(centre, predicted, span_fwhm, scan_points)
+        grid = wavelength_window(centre, _predicted_fwhm(params, drive), span_fwhm, scan_points)
         dataset = scan_laser(
-            params,
-            drive,
-            grid,
-            observe,
-            n_max,
-            channels=channels,
-            workers=workers,
-            check_truncation=not checked_truncation,
+            params, drive, grid, observe, n_max, channels,
+            check_truncation=False, residual_tol=residual_tol,
         )
-        checked_truncation = True
         try:
             lor = _fit.fit_lorentzian(dataset)
-        except Exception as exc:
+        except (NumericalError, np.linalg.LinAlgError) as exc:
             raise ScanError(f"linewidth fit failed at {power} uW: {exc}") from exc
         if not lor.converged:
             raise ScanError(f"linewidth fit did not converge at {power} uW: {lor.message}")
-        fwhm_nm = lor.params["fwhm"]
-        centre_fit_nm = lor.params["center"]
-        fitted_powers.append(float(power))
-        fitted_fwhm_ghz.append(fwhm_nm * SPEED_OF_LIGHT_NM_GHZ / centre_fit_nm**2)
-        intensities.append(
-            _solve_point(params, drive, channels, observe, n_max, centre_nm)
-        )
+        fitted_fwhm_ghz.append(lor.params["fwhm"] * SPEED_OF_LIGHT_NM_GHZ / lor.params["center"]**2)
+        point = [centre_nm]
+        intensities.extend(_emission(params, drive, channels, observe, n_max, point, residual_tol))
 
     meta = {
         "observe": observe.value,
@@ -295,7 +275,7 @@ def power_sweep(
         meta=dict(meta),
     )
     linewidths = None
-    if fitted_powers:
+    if fitted_powers.size:
         linewidths = SpectrumDataset(
             kind=ScanKind.POWER_SWEEP,
             x=np.array(fitted_powers),
@@ -305,7 +285,7 @@ def power_sweep(
             meta=dict(meta),
         )
     return PowerSweepResult(
-        saturation=saturation, linewidths=linewidths, skipped_powers=tuple(skipped)
+        saturation=saturation, linewidths=linewidths, skipped_powers=skipped
     )
 
 

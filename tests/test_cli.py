@@ -127,6 +127,15 @@ class TestExitCodes:
         assert rc == 2
         assert "0 <= min < max" in captured.err
 
+    def test_unreachable_residual_tolerance_exits_3(self, tmp_path, capsys):
+        text = DETUNED_BASE + "\n[numerics]\nfock_cutoff = 1\nsteady_residual_tol = 1e-30\n"
+        rc, _, captured = run_cli(
+            capsys,
+            ["scan", "--config", str(write_ini(tmp_path, text)), "--out", str(tmp_path / "s.csv")],
+        )
+        assert rc == 3
+        assert "residual" in captured.err
+
     def test_reproduce_missing_configs_enumerated(self, tmp_path, capsys):
         rc, _, captured = run_cli(
             capsys, ["reproduce", "--table", "table1", "--config-dir", str(tmp_path)]
@@ -196,7 +205,7 @@ fock_cutoff = 2
         assert float(report["fwhm_ghz"]) == pytest.approx(2.0, rel=0.01)
 
     def test_scan_rerun_is_byte_identical(self, tmp_path, capsys):
-        """Same config, two runs (workers = 2): identical CSV bytes."""
+        """Same config, two runs: identical CSV bytes."""
         first = tmp_path / "one.csv"
         second = tmp_path / "two.csv"
         for out in (first, second):

@@ -1,5 +1,6 @@
 """Strict INI parsing: accepted shapes, named rejections, derived helpers."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,6 @@ class TestExampleFile:
         assert cfg.scan_span_fwhm == 6.0
         assert cfg.seed == 7
         assert cfg.noise_relative == 0.0
-        assert cfg.workers == 2
         assert cfg.steady_residual_tol == 1e-9
         assert cfg.output_directory == "out"
         assert cfg.output_stem == "example"
@@ -130,7 +130,6 @@ class TestDefaults:
         assert cfg.scan_span_fwhm == 6.0
         assert cfg.seed == 7
         assert cfg.noise_relative == 0.0
-        assert cfg.workers == 1
         assert cfg.steady_residual_tol == 1e-9
         assert cfg.output_directory == "."
         assert cfg.output_stem == "cqed"
@@ -251,12 +250,22 @@ class TestRejections:
             ("scan_points", "4", "scan_points must be >= 5"),
             ("noise_relative", "0.6", r"noise_relative must lie in \[0, 0.5\]"),
             ("workers", "0", "workers must be >= 1"),
+            ("steady_residual_tol", "0", "steady_residual_tol must be finite and > 0"),
+            ("steady_residual_tol", "-1e-9", "steady_residual_tol must be finite and > 0"),
+            ("steady_residual_tol", "nan", "steady_residual_tol must be finite and > 0"),
+            ("steady_residual_tol", "inf", "steady_residual_tol must be finite and > 0"),
         ],
     )
     def test_numerics_bounds(self, tmp_path, key, value, pattern):
         text = BASE + f"\n[numerics]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=pattern):
             parse_config(write_config(tmp_path, text))
+
+    def test_workers_accepted_and_ignored(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, BASE + "\n[numerics]\nworkers = 2\n"))
+        plain = parse_config(write_config(tmp_path, BASE, name="plain.ini"))
+        assert replace(cfg, source="") == replace(plain, source="")
+        assert not hasattr(cfg, "workers")
 
     def test_non_numeric_value_named(self, tmp_path):
         text = BASE.replace("g_ghz = 10.0", "g_ghz = fast")

@@ -12,7 +12,6 @@ from cqed_scope.hilbert import (
     lift_cavity,
     lift_qd,
     qd_lowering,
-    tensor,
     validate_density_matrix,
 )
 
@@ -63,10 +62,10 @@ class TestTensorAndLifts:
         np.testing.assert_allclose(dagger(mat), mat.conj().T)
         np.testing.assert_allclose(dagger(dagger(mat)), mat)
 
-    def test_tensor_uses_left_factor_as_slow_index(self):
+    def test_lifts_use_the_dot_as_slow_index(self):
         left = np.array([[1.0, 2.0], [3.0, 4.0]])
         right = np.array([[0.0, 5.0], [6.0, 7.0]])
-        prod = tensor(left, right)
+        prod = lift_qd(left, 1) @ lift_cavity(right, 1)
         assert prod.shape == (4, 4)
         for i in range(2):
             for j in range(2):

@@ -14,6 +14,7 @@ from cqed_scope.hilbert import (
     qd_lowering,
 )
 from cqed_scope.lindblad import (
+    Liouvillian,
     assemble_liouvillian,
     build_hamiltonian,
     build_liouvillian,
@@ -278,6 +279,16 @@ class TestEvolve:
         lv = build_liouvillian(ham, params)
         with pytest.raises(ValueError):
             evolve(lv, np.eye(6) / 6.0, t_final=0.1, dt_max=0.01)
+
+
+class TestSteadyStateValidation:
+    def test_non_positive_kernel_is_a_numerical_error(self):
+        # L x = v tr(x) - x has the single kernel vector v: Hermitian, unit
+        # trace, with a negative eigenvalue.
+        kernel = np.diag([1.2, -0.2]).astype(complex).reshape(-1)
+        matrix = np.outer(kernel, np.eye(2).reshape(-1)) - np.eye(4)
+        with pytest.raises(NumericalError, match="negative eigenvalue"):
+            steady_state(Liouvillian(dim=2, matrix=matrix.astype(complex)))
 
 
 class TestTruncationCheck:

@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cqed_scope import scan as scan_module
 from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import ConfigError, TruncationError
 from cqed_scope.fit import fit_lorentzian, fit_saturation
+from cqed_scope.lindblad import build_hamiltonian, build_liouvillian, steady_state
 from cqed_scope.model import (
     SPEED_OF_LIGHT_NM_GHZ,
     TWO_PI,
     DriveSpec,
     DriveTarget,
+    IncoherentChannels,
     SystemParams,
     angular_frequency_to_wavelength,
     wavelength_to_angular_frequency,
@@ -113,17 +118,24 @@ class TestScanLaser:
         with pytest.raises(TruncationError):
             scan_laser(params, drive, grid, EmissionChannel.CAVITY, 2)
 
-    def test_parallel_scan_is_bitwise_deterministic(self):
+    def test_scan_is_bitwise_deterministic(self):
         params = make_system(g=0.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=0.5, alpha=0.5)
         grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 21)
-        runs = [
-            scan_laser(params, drive, grid, EmissionChannel.QD, 1, workers=workers)
-            for workers in (None, 1, 3)
-        ]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].x, other.x)
-            assert np.array_equal(runs[0].y, other.y)
+        first, second = (scan_laser(params, drive, grid, EmissionChannel.QD, 1) for _ in range(2))
+        assert np.array_equal(first.x, second.x)
+        assert np.array_equal(first.y, second.y)
+
+    def test_programming_errors_are_not_wrapped(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(scan_module, "steady_state", broken)
+        params = make_system(g=0.0, kappa=2.0, gamma=0.5)
+        drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, omega_rabi=1.0)
+        grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 5)
+        with pytest.raises(TypeError, match="injected bug"):
+            scan_laser(params, drive, grid, EmissionChannel.QD, 1, check_truncation=False)
 
     def test_peak_sits_at_the_dot_wavelength(self):
         params = make_system(g=0.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
@@ -159,6 +171,59 @@ class TestScanLaser:
         width_narrow = fit_lorentzian(narrow).params["fwhm"]
         width_wide = fit_lorentzian(wide).params["fwhm"]
         assert abs(width_wide - width_narrow) / width_narrow < 0.005
+
+
+def per_point_spectrum(params, drive, grid, observe, n_max, channels):
+    """Reference: assemble and solve the generator afresh at every grid point."""
+    values = []
+    for lam in grid:
+        point = drive.with_laser_frequency(wavelength_to_angular_frequency(float(lam)))
+        ham = build_hamiltonian(params, point, n_max)
+        observables = steady_state(build_liouvillian(ham, params, channels)).observables
+        if observe is EmissionChannel.CAVITY:
+            values.append(2.0 * params.kappa * observables["n_cavity"])
+        else:
+            values.append(2.0 * params.gamma * observables["n_qd"])
+    return np.maximum(np.array(values), 0.0)
+
+
+class TestShiftedGenerator:
+    @settings(max_examples=60)
+    @given(
+        g=st.floats(0.0, 20.0),
+        kappa=st.floats(0.5, 30.0),
+        gamma=st.floats(0.1, 2.0),
+        gamma_d=st.floats(0.0, 3.0),
+        delta=st.floats(-100.0, 100.0),
+        n_max=st.integers(1, 4),
+        target=st.sampled_from(DriveTarget),
+        observe=st.sampled_from(EmissionChannel),
+        transfer=st.booleans(),
+    )
+    # Narrow lines far from the dot: the shift must use the number operator as
+    # assembled (sqrt(n)**2, not n) to stay within the bound here.
+    @example(
+        g=0.5, kappa=0.5, gamma=0.1015625, gamma_d=0.0, delta=15.0, n_max=2,
+        target=DriveTarget.CAVITY, observe=EmissionChannel.QD, transfer=False,
+    )
+    def test_scan_matches_per_point_assembly(
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, observe, transfer
+    ):
+        params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
+        channels = IncoherentChannels(
+            transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
+            transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
+        )
+        centre = params.omega_d if target is DriveTarget.QD else params.omega_c
+        drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * 1.0)
+        width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
+        grid = wavelength_window(centre, width, 6.0, 9)
+
+        data = scan_laser(
+            params, drive, grid, observe, n_max, channels=channels, check_truncation=False
+        )
+        expected = per_point_spectrum(params, drive, grid, observe, n_max, channels)
+        np.testing.assert_allclose(data.y, expected, rtol=0.0, atol=1e-14 * expected.max())
 
 
 class TestWindowSizing:
@@ -231,6 +296,21 @@ class TestPowerSweep:
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
         with pytest.raises(ValueError):
             power_sweep(params, drive, powers, EmissionChannel.QD, 1)
+
+    def test_cutoff_checked_at_the_highest_power(self):
+        # Cutoff 3 holds at 0.05 uW but not at 50 uW of cavity drive.
+        params = SystemParams.from_ghz_and_nm(
+            g_ghz=10.0,
+            kappa_ghz=20.0,
+            gamma_ghz=0.5,
+            gamma_d_ghz=1.5,
+            qd_wavelength_nm=931.0,
+            cavity_wavelength_nm=930.8,
+        )
+        drive = DriveSpec(target=DriveTarget.CAVITY, omega_l=params.omega_c, power=1.0, alpha=0.5)
+        powers = np.geomspace(0.05, 50.0, 5)
+        with pytest.raises(TruncationError):
+            power_sweep(params, drive, powers, EmissionChannel.CAVITY, 3)
 
     def test_zero_power_only_has_no_linewidths(self):
         params = make_system(g=0.0, kappa=2.0, gamma=0.5)
