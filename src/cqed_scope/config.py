@@ -165,6 +165,13 @@ def _get_int(section: configparser.SectionProxy, key: str, source: str) -> int:
         raise ConfigError(f"{source}: key {key!r} is not an integer: {section[key]!r}") from exc
 
 
+def _get_positive(section: configparser.SectionProxy, key: str, source: str) -> float:
+    value = _get_float(section, key, source)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{source}: {key} must be finite and > 0")
+    return value
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read and validate one INI file, rejecting unknown sections and keys."""
     path = Path(path)
@@ -280,9 +287,11 @@ def parse_config(path: str | Path) -> RunConfig:
             if kwargs["scan_points"] < 5:
                 raise ConfigError(f"{source}: scan_points must be >= 5")
         if "scan_span_fwhm" in num:
-            kwargs["scan_span_fwhm"] = _get_float(num, "scan_span_fwhm", source)
+            kwargs["scan_span_fwhm"] = _get_positive(num, "scan_span_fwhm", source)
         if "seed" in num:
             kwargs["seed"] = _get_int(num, "seed", source)
+            if kwargs["seed"] < 0:
+                raise ConfigError(f"{source}: seed must be >= 0")
         if "noise_relative" in num:
             kwargs["noise_relative"] = _get_float(num, "noise_relative", source)
             if not 0.0 <= kwargs["noise_relative"] <= 0.5:
@@ -291,10 +300,7 @@ def parse_config(path: str | Path) -> RunConfig:
         if "workers" in num and _get_int(num, "workers", source) < 1:
             raise ConfigError(f"{source}: workers must be >= 1")
         if "steady_residual_tol" in num:
-            tol = _get_float(num, "steady_residual_tol", source)
-            if not (np.isfinite(tol) and tol > 0.0):
-                raise ConfigError(f"{source}: steady_residual_tol must be finite and > 0")
-            kwargs["steady_residual_tol"] = tol
+            kwargs["steady_residual_tol"] = _get_positive(num, "steady_residual_tol", source)
 
     if "output" in parser:
         out = parser["output"]
@@ -310,12 +316,13 @@ def parse_config(path: str | Path) -> RunConfig:
         def opt(key: str) -> float | None:
             return _get_float(rep, key, source) if key in rep else None
 
+        i_sat = _get_positive(rep, "i_sat_counts", source) if "i_sat_counts" in rep else 1000.0
         reproduce = ReproduceParams(
             label=rep.get("label", "").strip(),
             delta_omega_c_ghz=opt("delta_omega_c_ghz"),
             delta_omega_0_ghz=opt("delta_omega_0_ghz"),
             reference_theory_ghz=opt("reference_theory_ghz"),
-            i_sat_counts=opt("i_sat_counts") or 1000.0,
+            i_sat_counts=i_sat,
             intrinsic_fwhm_ghz=opt("intrinsic_fwhm_ghz"),
             excess_slope_ghz_per_uw=opt("excess_slope_ghz_per_uw"),
         )

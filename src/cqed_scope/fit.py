@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -383,19 +383,9 @@ def fit_saturation(data: SpectrumDataset, max_iterations: int = MAX_ITERATIONS) 
     # direction.  Report the honest (infinite) alpha uncertainty for it.
     never_saturates = not result.converged and result.params["alpha_per_uw"] * x_span < 0.1
     if never_saturates:
-        sigmas = dict(result.uncertainties)
-        sigmas["alpha_per_uw"] = math.inf
-        result = FitResult(
-            **{
-                **result.__dict__,
-                "uncertainties": sigmas,
-                "message": "alpha under-determined; data never saturates",
-            }
-        )
-    elif result.param_unreliable("alpha_per_uw") and not result.message:
-        result = FitResult(
-            **{**result.__dict__, "message": "alpha under-determined; data never saturates"}
-        )
+        result = replace(result, uncertainties={**result.uncertainties, "alpha_per_uw": math.inf})
+    if never_saturates or (result.param_unreliable("alpha_per_uw") and not result.message):
+        result = replace(result, message="alpha under-determined; data never saturates")
     return result
 
 
@@ -449,11 +439,11 @@ def fit_power_broadening(
         y_scale=scale,
         scaled_params=("delta_omega_c_ghz", "delta_omega_0_ghz"),
     )
-    params = dict(result.params)
-    sigmas = dict(result.uncertainties)
-    params["alpha_per_uw"] = alpha_fixed
-    sigmas["alpha_per_uw"] = 0.0
-    return FitResult(**{**result.__dict__, "params": params, "uncertainties": sigmas})
+    return replace(
+        result,
+        params={**result.params, "alpha_per_uw": alpha_fixed},
+        uncertainties={**result.uncertainties, "alpha_per_uw": 0.0},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -319,16 +319,27 @@ def truncation_check(
     channels: IncoherentChannels | None = None,
     residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> tuple[bool, float]:
-    """Compare steady occupations at cutoffs ``n_max`` and ``n_max + 2``.
+    """Solve at cutoff ``n_max``, then compare with ``n_max + 2`` by :func:`truncation_change`."""
+    ham = build_hamiltonian(params, drive, n_max)
+    lower = steady_state(build_liouvillian(ham, params, channels), residual_tol)
+    return truncation_change(lower, params, drive, channels, residual_tol)
 
-    Returns ``(converged, worst_relative_change)``.  The relative change uses
-    an absolute floor of 1e-6 occupation so that empty-cavity round-off does
-    not register as disagreement.  Both solves use ``residual_tol``.
+
+def truncation_change(
+    lower: SteadyState,
+    params: SystemParams,
+    drive: DriveSpec,
+    channels: IncoherentChannels | None = None,
+    residual_tol: float = STEADY_RESIDUAL_TOL,
+) -> tuple[bool, float]:
+    """Compare ``lower``, this drive's steady state at cutoff ``n``, with a solve at ``n + 2``.
+
+    Returns ``(converged, worst_relative_change)``.  The relative change uses an absolute
+    floor of 1e-6 occupation so that empty-cavity round-off does not register as disagreement.
     """
-    occupations = []
-    for cutoff in (n_max, n_max + 2):
-        ham = build_hamiltonian(params, drive, cutoff)
-        obs = steady_state(build_liouvillian(ham, params, channels), residual_tol).observables
-        occupations.append((float(obs["n_cavity"]), float(obs["n_qd"])))
-    worst = max(abs(lo - hi) / max(abs(lo), abs(hi), 1e-6) for lo, hi in zip(*occupations))
+    n_max = lower.rho.shape[0] // 2 - 1
+    ham = build_hamiltonian(params, drive, n_max + 2)
+    upper = steady_state(build_liouvillian(ham, params, channels), residual_tol)
+    pairs = [(lower.observables[k], upper.observables[k]) for k in ("n_cavity", "n_qd")]
+    worst = max(abs(lo - hi) / max(abs(lo), abs(hi), 1e-6) for lo, hi in pairs)
     return worst < TRUNCATION_RTOL, worst

@@ -24,7 +24,9 @@ from .analytic import (
 )
 from .dataset import ScanKind, SpectrumDataset
 from .errors import ConfigError, NumericalError, ScanError, TruncationError
-from .lindblad import STEADY_RESIDUAL_TOL, laser_scan_liouvillians, steady_state, truncation_check
+from .lindblad import (
+    STEADY_RESIDUAL_TOL, SteadyState, laser_scan_liouvillians, steady_state, truncation_change
+)
 from .model import (
     DriveSpec,
     DriveTarget,
@@ -53,14 +55,17 @@ def _emission(
     n_max: int,
     wavelengths_nm: np.ndarray,
     residual_tol: float,
-) -> np.ndarray:
-    """Emission signal at each wavelength, one steady-state solve per point."""
+) -> tuple[np.ndarray, SteadyState]:
+    """Emission signal at each wavelength, one solve per point, and the middle point's state.
+
+    The middle point is the unshifted reference; returning frees the generator before a check.
+    """
     cavity = observe is EmissionChannel.CAVITY
     rate, key = (params.kappa, "n_cavity") if cavity else (params.gamma, "n_qd")
     omegas = [wavelength_to_angular_frequency(float(lam)) for lam in wavelengths_nm]
     liouvillians = laser_scan_liouvillians(params, drive_template, n_max, channels, omegas)
     values = []
-    for lam, liouvillian in zip(wavelengths_nm, liouvillians):
+    for index, (lam, liouvillian) in enumerate(zip(wavelengths_nm, liouvillians)):
         try:
             ss = steady_state(liouvillian, residual_tol)
         except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -69,19 +74,9 @@ def _emission(
         if value < -1e-12:
             raise ScanError(f"negative emission signal {value:.3e}")
         values.append(max(value, 0.0))
-    return np.array(values)
-
-
-def _check_cutoff(
-    params: SystemParams,
-    probe: DriveSpec,
-    n_max: int,
-    channels: IncoherentChannels | None,
-    residual_tol: float,
-) -> None:
-    converged, change = truncation_check(params, probe, n_max, channels, residual_tol)
-    if not converged:
-        raise TruncationError(f"cutoff {n_max} not converged (change {change:.2e}); increase it")
+        if index == len(omegas) // 2:
+            middle = ss
+    return np.array(values), middle
 
 
 def scan_laser(
@@ -107,8 +102,8 @@ def scan_laser(
     observe
         Which decay channel feeds the detector.
     n_max
-        Fock cutoff; checked against ``n_max + 2`` at the grid centre
-        unless ``check_truncation`` is disabled.
+        Fock cutoff; unless ``check_truncation`` is disabled, the middle point's
+        steady state is compared after the scan with a solve at ``n_max + 2``.
     residual_tol
         Steady-state residual tolerance for every solve, the check included.
     """
@@ -126,15 +121,18 @@ def scan_laser(
                 f"(limit {GRID_GUARD_NM} nm); check units"
             )
 
+    signal, middle = _emission(params, drive_template, channels, observe, n_max, grid, residual_tol)
     if check_truncation:
-        centre = float(grid[grid.size // 2])
-        probe = drive_template.with_laser_frequency(wavelength_to_angular_frequency(centre))
-        _check_cutoff(params, probe, n_max, channels, residual_tol)
+        centre = wavelength_to_angular_frequency(float(grid[grid.size // 2]))
+        probe = drive_template.with_laser_frequency(centre)
+        converged, change = truncation_change(middle, params, probe, channels, residual_tol)
+        if not converged:
+            raise TruncationError(f"cutoff {n_max} not converged (change {change:.2e}); increase it")
 
     return SpectrumDataset(
         kind=ScanKind.LASER_WAVELENGTH,
         x=grid,
-        y=_emission(params, drive_template, channels, observe, n_max, grid, residual_tol),
+        y=signal,
         x_unit="nm",
         y_unit="intensity",
         meta={
@@ -150,11 +148,10 @@ def _predicted_fwhm(params: SystemParams, drive: DriveSpec) -> float:
     if drive.target is DriveTarget.QD:
         model = LinewidthModelParams.from_system(params, alpha=1.0)
         width = model.delta_omega_c + model.delta_omega_0 * np.sqrt(1.0 + drive.p_tilde(params))
+    elif params.g == 0.0:
+        width = 2.0 * params.kappa
     else:
-        if params.g == 0.0:
-            width = 2.0 * params.kappa
-        else:
-            width = dispersive_linewidths(params).cavity_like
+        width = dispersive_linewidths(params).cavity_like
     return float(width)
 
 
@@ -215,11 +212,11 @@ def power_sweep(
     """Emulate a power series: one laser scan per drive power.
 
     For every power the laser is scanned across the driven branch over a
-    window of at least ``span_fwhm`` predicted linewidths (minimum 201
-    points); the on-resonance signal goes into the saturation dataset and a
-    Lorentzian fit of the scan yields the linewidth dataset (GHz).  The Fock
-    cutoff is checked once, at the highest power, where it is most likely
-    to fall short.
+    window of at least ``span_fwhm`` predicted linewidths and an odd number of
+    points (at least 201), so the branch centre is the middle point; its signal
+    goes into the saturation dataset and a Lorentzian fit of the scan yields the
+    linewidth dataset (GHz).  Powers run from the highest down, and only that
+    first scan checks the Fock cutoff, where it is most likely to fall short.
     """
     if drive_template.alpha is None:
         raise ValueError("power sweeps need a power-style drive template (alpha set)")
@@ -230,25 +227,22 @@ def power_sweep(
         raise ValueError("power grid must be strictly increasing")
     if float(powers[0]) < 0.0:
         raise ValueError("powers must be >= 0")
-    scan_points = max(int(scan_points), 201)
+    scan_points = max(int(scan_points), 201) | 1
     span_fwhm = max(float(span_fwhm), 6.0)
 
     centre = _scan_centre(params, drive_template)
-    centre_nm = angular_frequency_to_wavelength(centre)
-    top = drive_template.with_power(float(powers[-1])).with_laser_frequency(centre)
-    _check_cutoff(params, top, n_max, channels, residual_tol)
 
     # Powers rise from >= 0, so only the first can be zero: no drive, no line to fit.
     skipped = tuple(float(p) for p in powers[:1] if p == 0.0)
     fitted_powers = powers[len(skipped) :]
-    intensities: list[float] = [0.0] * len(skipped)
+    intensities: list[float] = []
     fitted_fwhm_ghz: list[float] = []
-    for power in fitted_powers:
-        drive = drive_template.with_power(float(power)).with_laser_frequency(centre)
+    for power in fitted_powers[::-1]:
+        drive = drive_template.with_power(float(power))
         grid = wavelength_window(centre, _predicted_fwhm(params, drive), span_fwhm, scan_points)
         dataset = scan_laser(
             params, drive, grid, observe, n_max, channels,
-            check_truncation=False, residual_tol=residual_tol,
+            check_truncation=power == powers[-1], residual_tol=residual_tol,
         )
         try:
             lor = _fit.fit_lorentzian(dataset)
@@ -257,8 +251,7 @@ def power_sweep(
         if not lor.converged:
             raise ScanError(f"linewidth fit did not converge at {power} uW: {lor.message}")
         fitted_fwhm_ghz.append(lor.params["fwhm"] * SPEED_OF_LIGHT_NM_GHZ / lor.params["center"]**2)
-        point = [centre_nm]
-        intensities.extend(_emission(params, drive, channels, observe, n_max, point, residual_tol))
+        intensities.append(float(dataset.y[grid.size // 2]))
 
     meta = {
         "observe": observe.value,
@@ -269,7 +262,7 @@ def power_sweep(
     saturation = SpectrumDataset(
         kind=ScanKind.POWER_SWEEP,
         x=powers,
-        y=np.array(intensities),
+        y=np.array([0.0] * len(skipped) + intensities[::-1]),
         x_unit="uW",
         y_unit="intensity",
         meta=dict(meta),
@@ -279,14 +272,12 @@ def power_sweep(
         linewidths = SpectrumDataset(
             kind=ScanKind.POWER_SWEEP,
             x=np.array(fitted_powers),
-            y=np.array(fitted_fwhm_ghz),
+            y=np.array(fitted_fwhm_ghz[::-1]),
             x_unit="uW",
             y_unit="fwhm_ghz",
             meta=dict(meta),
         )
-    return PowerSweepResult(
-        saturation=saturation, linewidths=linewidths, skipped_powers=skipped
-    )
+    return PowerSweepResult(saturation=saturation, linewidths=linewidths, skipped_powers=skipped)
 
 
 def synthesize_noisy(dataset: SpectrumDataset, relative_noise: float, seed: int) -> SpectrumDataset:

@@ -254,12 +254,29 @@ class TestRejections:
             ("steady_residual_tol", "-1e-9", "steady_residual_tol must be finite and > 0"),
             ("steady_residual_tol", "nan", "steady_residual_tol must be finite and > 0"),
             ("steady_residual_tol", "inf", "steady_residual_tol must be finite and > 0"),
+            ("seed", "-1", "seed must be >= 0"),
+            ("scan_span_fwhm", "-6", "scan_span_fwhm must be finite and > 0"),
+            ("scan_span_fwhm", "0", "scan_span_fwhm must be finite and > 0"),
+            ("scan_span_fwhm", "nan", "scan_span_fwhm must be finite and > 0"),
+            ("scan_span_fwhm", "inf", "scan_span_fwhm must be finite and > 0"),
         ],
     )
     def test_numerics_bounds(self, tmp_path, key, value, pattern):
         text = BASE + f"\n[numerics]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=pattern):
             parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("value", ["0", "-1000", "nan", "inf"])
+    def test_i_sat_counts_bounds(self, tmp_path, value):
+        text = BASE + f"\n[reproduce]\ni_sat_counts = {value}\n"
+        with pytest.raises(ConfigError, match="i_sat_counts must be finite and > 0"):
+            parse_config(write_config(tmp_path, text))
+
+    def test_i_sat_counts_defaults_only_when_absent(self, tmp_path):
+        absent = parse_config(write_config(tmp_path, BASE + "\n[reproduce]\nlabel = S\n"))
+        assert absent.reproduce.i_sat_counts == 1000.0
+        given = parse_config(write_config(tmp_path, BASE + "\n[reproduce]\ni_sat_counts = 2.5\n"))
+        assert given.reproduce.i_sat_counts == 2.5
 
     def test_workers_accepted_and_ignored(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE + "\n[numerics]\nworkers = 2\n"))

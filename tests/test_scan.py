@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cqed_scope import lindblad
 from cqed_scope import scan as scan_module
 from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import ConfigError, TruncationError
 from cqed_scope.fit import fit_lorentzian, fit_saturation
-from cqed_scope.lindblad import build_hamiltonian, build_liouvillian, steady_state
+from cqed_scope.lindblad import build_hamiltonian, build_liouvillian, steady_state, truncation_check
 from cqed_scope.model import (
     SPEED_OF_LIGHT_NM_GHZ,
     TWO_PI,
@@ -42,6 +43,18 @@ def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, cavity_nm=931.0):
         omega_c=omega_c,
         omega_d=omega_c + TWO_PI * delta,
     )
+
+
+def count_assemblies(monkeypatch) -> list:
+    """Record every ``build_liouvillian`` call made inside the package."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_liouvillian(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "build_liouvillian", counting)
+    return calls
 
 
 def fitted_width_angular(data: SpectrumDataset) -> float:
@@ -125,6 +138,31 @@ class TestScanLaser:
         first, second = (scan_laser(params, drive, grid, EmissionChannel.QD, 1) for _ in range(2))
         assert np.array_equal(first.x, second.x)
         assert np.array_equal(first.y, second.y)
+
+    def test_checked_scan_assembles_twice(self, monkeypatch):
+        # One generator for the grid, one at n_max + 2 for the cutoff check.
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5)
+        drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, omega_rabi=0.1)
+        grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 21)
+        calls = count_assemblies(monkeypatch)
+        scan_laser(params, drive, grid, EmissionChannel.CAVITY, 2)
+        assert len(calls) == 2
+
+    def test_scan_check_reports_the_centre_truncation_change(self, monkeypatch):
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5, delta=-3.0)
+        drive = DriveSpec(target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=1.0)
+        grid = wavelength_window(params.omega_c, 2.0 * params.kappa, 6.0, 21)
+        reported = []
+
+        def spy(*args, **kwargs):
+            reported.append(lindblad.truncation_change(*args, **kwargs))
+            return reported[-1]
+
+        monkeypatch.setattr(scan_module, "truncation_change", spy)
+        scan_laser(params, drive, grid, EmissionChannel.CAVITY, 3)
+        centre = drive.with_laser_frequency(wavelength_to_angular_frequency(float(grid[10])))
+        assert reported == [truncation_check(params, centre, 3)]
+        assert 0.0 < reported[0][1] < 1e-8
 
     def test_programming_errors_are_not_wrapped(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -246,6 +284,26 @@ class TestWindowSizing:
         with pytest.raises(ConfigError):
             wavelength_window(centre, bad_width, 6.0, 201)
 
+    @settings(max_examples=300)
+    @given(
+        centre_nm=st.floats(800.0, 1100.0),
+        fwhm_ghz=st.floats(1e-3, 200.0),
+        span_fwhm=st.floats(6.0, 50.0),
+        half_points=st.integers(2, 1000),
+    )
+    @example(centre_nm=1024.1, fwhm_ghz=100.0, span_fwhm=6.0, half_points=100)
+    def test_odd_window_has_the_centre_as_its_middle(self, centre_nm, fwhm_ghz, span_fwhm, half_points):
+        centre = wavelength_to_angular_frequency(centre_nm)
+        grid = wavelength_window(centre, TWO_PI * fwhm_ghz, span_fwhm, 2 * half_points + 1)
+        assume(grid[-1] - grid[0] <= 2.0 * scan_module.GRID_GUARD_NM)
+        middle = float(grid[half_points])
+        exact = angular_frequency_to_wavelength(centre)
+        if np.floor(np.log2(grid[0])) == np.floor(np.log2(grid[-1])):
+            assert middle == exact
+        else:
+            # Ends on either side of a power of two (1024 nm) round unevenly.
+            assert abs(middle - exact) <= np.spacing(min(middle, exact))
+
     def test_auto_window_centres_on_the_driven_branch(self):
         params = make_system(g=0.0, kappa=2.0, gamma=0.5)
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
@@ -280,6 +338,27 @@ class TestPowerSweep:
         assert linewidths.y_unit == "fwhm_ghz"
         expected_ghz = 2.0 * (0.5 + 0.5) * np.sqrt(1.0 + 0.5 * powers[1:])
         np.testing.assert_allclose(linewidths.y, expected_ghz, rtol=1e-2)
+
+    def test_sweep_assembles_once_per_power_plus_the_check(self, monkeypatch):
+        params = make_system(g=0.0, kappa=2.0, gamma=0.5)
+        drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
+        powers = np.array([0.0, 0.1, 0.4, 1.6, 6.4])
+        calls = count_assemblies(monkeypatch)
+        power_sweep(params, drive, powers, EmissionChannel.QD, 1)
+        assert len(calls) == 4 + 1
+
+    def test_saturation_point_is_the_centre_solve(self):
+        # An even point count is rounded up so that the centre is a grid point.
+        params = make_system(g=10.0, kappa=20.0, gamma=0.5, gamma_d=1.5, delta=-69.0)
+        drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
+        powers = np.geomspace(0.05, 8.0, 5)
+        result = power_sweep(params, drive, powers, EmissionChannel.CAVITY, 2, scan_points=210)
+        centre_nm = [angular_frequency_to_wavelength(scan_module._scan_centre(params, drive))]
+        for power, value in zip(powers, result.saturation.y):
+            fresh = per_point_spectrum(
+                params, drive.with_power(float(power)), centre_nm, EmissionChannel.CAVITY, 2, None
+            )
+            assert value == fresh[0]
 
     def test_rabi_style_template_rejected(self):
         params = make_system(g=0.0, kappa=2.0, gamma=0.5)
