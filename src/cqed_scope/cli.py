@@ -63,11 +63,10 @@ def _fwhm_nm_to_ghz(fwhm_nm: float, centre_nm: float) -> float:
 
 
 def _output_path(cfg: RunConfig, suffix: str, override: str | None = None) -> Path:
-    if override:
-        return Path(override)
-    directory = cfg.resolve_output_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / f"{cfg.output_stem}_{suffix}.csv"
+    default = cfg.resolve_output_dir() / f"{cfg.output_stem}_{suffix}.csv"
+    path = Path(override) if override else default
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _maybe_noisy(cfg: RunConfig, data: SpectrumDataset, seed_offset: int = 0) -> SpectrumDataset:
@@ -275,6 +274,8 @@ def _reproduce_excess_row(cfg: RunConfig, rep, label: str) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> None:
+    if not Path(args.csv).is_file():
+        raise ConfigError(f"csv file not found: {args.csv}")
     data = read_csv(args.csv)
     if args.model == "lorentzian":
         result = fit_lorentzian(data)

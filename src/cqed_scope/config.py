@@ -22,7 +22,6 @@ from .model import (
     IncoherentChannels,
     SystemParams,
     ghz_to_angular,
-    wavelength_to_angular_frequency,
 )
 
 #: Environment variable overriding the configured output directory.
@@ -42,7 +41,6 @@ _SCHEMA: dict[str, set[str]] = {
         "rabi_ghz",
         "power_uw",
         "alpha_per_uw",
-        "laser_wavelength_nm",
         "power_min_uw",
         "power_max_uw",
         "power_points",
@@ -99,7 +97,6 @@ class RunConfig:
     rabi_ghz: float | None
     power_uw: float | None
     alpha_per_uw: float | None
-    laser_wavelength_nm: float | None
     power_grid: tuple[float, float, int, str] | None
     fock_cutoff: int = 4
     scan_points: int = 201
@@ -113,10 +110,8 @@ class RunConfig:
     source: str = ""
 
     def drive_template(self, power: float | None = None) -> DriveSpec:
-        """Drive spec with the laser parked at the configured/derived frequency."""
-        if self.laser_wavelength_nm is not None:
-            omega_l = wavelength_to_angular_frequency(self.laser_wavelength_nm)
-        elif self.drive_target is DriveTarget.QD:
+        """Drive spec with the laser parked on the driven resonance."""
+        if self.drive_target is DriveTarget.QD:
             omega_l = self.system.omega_d
         else:
             omega_l = self.system.omega_c
@@ -229,9 +224,6 @@ def parse_config(path: str | Path) -> RunConfig:
     rabi_ghz = _get_float(drv, "rabi_ghz", source) if "rabi_ghz" in drv else None
     power_uw = _get_float(drv, "power_uw", source) if "power_uw" in drv else None
     alpha = _get_float(drv, "alpha_per_uw", source) if "alpha_per_uw" in drv else None
-    laser_nm = (
-        _get_float(drv, "laser_wavelength_nm", source) if "laser_wavelength_nm" in drv else None
-    )
     if rabi_ghz is not None and (power_uw is not None or alpha is not None):
         raise ConfigError(f"{source}: give either rabi_ghz or power_uw/alpha_per_uw, not both")
     if rabi_ghz is None and alpha is None:
@@ -334,7 +326,6 @@ def parse_config(path: str | Path) -> RunConfig:
         rabi_ghz=rabi_ghz,
         power_uw=power_uw,
         alpha_per_uw=alpha,
-        laser_wavelength_nm=laser_nm,
         power_grid=power_grid,
         reproduce=reproduce,
         source=source,

@@ -11,15 +11,16 @@ the off-diagonal decay rate is exactly ``gamma + gamma_d``) and, optionally,
 one-way incoherent transfer terms ``D[a^+ sigma]`` / ``D[sigma^+ a]``.
 
 The Hamiltonian is written in the frame rotating at the laser frequency, so
-only detunings from the laser appear.  Superoperators are dense matrices
-acting on the row-major flattening of rho: ``vec(A rho B) = (A kron B^T) vec(rho)``.
+only detunings from the laser appear.  The generator is a plain complex
+``dim**2 x dim**2`` array acting on the row-major flattening of rho:
+``vec(A rho B) = (A kron B^T) vec(rho)``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,11 @@ STEADY_RESIDUAL_TOL = 1e-9
 TRUNCATION_RTOL = 1e-8
 
 
+def _ladder(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, a)`` on the dot x Fock space with photon cutoff ``n_max``."""
+    return lift_qd(qd_lowering(), n_max), lift_cavity(annihilation(n_max), n_max)
+
+
 def build_hamiltonian(params: SystemParams, drive: DriveSpec, n_max: int) -> np.ndarray:
     """Rotating-frame Hamiltonian on the truncated space (rad/ns).
 
@@ -50,8 +56,7 @@ def build_hamiltonian(params: SystemParams, drive: DriveSpec, n_max: int) -> np.
     ``(omega_rabi / 2) * (x + x^+)`` where ``x`` is ``sigma`` or ``a``
     depending on the drive target.
     """
-    sm = lift_qd(qd_lowering(), n_max)
-    a = lift_cavity(annihilation(n_max), n_max)
+    sm, a = _ladder(n_max)
     sp, ad = dagger(sm), dagger(a)
 
     delta_d = params.omega_d - drive.omega_l
@@ -65,30 +70,9 @@ def build_hamiltonian(params: SystemParams, drive: DriveSpec, n_max: int) -> np.
     return ham
 
 
-@dataclass(frozen=True, eq=False)
-class Liouvillian:
-    """Dense superoperator together with the collapse terms it was assembled from.
-
-    ``matrix`` has shape ``(dim**2, dim**2)`` and acts on row-major flattened
-    density matrices.  ``collapse_terms`` records ``(rate, operator)`` pairs
-    with strictly positive rates.
-    """
-
-    dim: int
-    matrix: np.ndarray
-    collapse_terms: tuple[tuple[float, np.ndarray], ...] = field(default_factory=tuple)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side of the master equation for a given density matrix."""
-        return (self.matrix @ rho.reshape(-1)).reshape(self.dim, self.dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
 def assemble_liouvillian(
     hamiltonian: np.ndarray, collapse_terms: list[tuple[float, np.ndarray]]
-) -> Liouvillian:
+) -> np.ndarray:
     """Build the superoperator matrix from a Hamiltonian and collapse terms.
 
     Rates must be non-negative; zero-rate terms are dropped.  The commutator
@@ -100,7 +84,6 @@ def assemble_liouvillian(
     dim = hamiltonian.shape[0]
     eye = identity(dim)
     matrix = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
-    kept: list[tuple[float, np.ndarray]] = []
     for rate, op in collapse_terms:
         if rate < 0.0:
             raise ValueError(f"collapse rate must be >= 0, got {rate}")
@@ -114,24 +97,21 @@ def assemble_liouvillian(
             - 0.5 * np.kron(opdag_op, eye)
             - 0.5 * np.kron(eye, opdag_op.T)
         )
-        kept.append((rate, op))
-    return Liouvillian(dim=dim, matrix=matrix, collapse_terms=tuple(kept))
+    return matrix
 
 
 def build_liouvillian(
     hamiltonian: np.ndarray,
     params: SystemParams,
     channels: IncoherentChannels | None = None,
-) -> Liouvillian:
+) -> np.ndarray:
     """Assemble the full dissipative generator for one dot-cavity system."""
     dim = hamiltonian.shape[0]
     if dim % 2 != 0 or dim < 4:
         raise ValueError(f"expected a dot x Fock space of even dimension >= 4, got {dim}")
-    n_max = dim // 2 - 1
     channels = channels or IncoherentChannels()
 
-    sm = lift_qd(qd_lowering(), n_max)
-    a = lift_cavity(annihilation(n_max), n_max)
+    sm, a = _ladder(dim // 2 - 1)
     terms = [
         (2.0 * params.kappa, a),
         (2.0 * params.gamma, sm),
@@ -148,8 +128,8 @@ def laser_scan_liouvillians(
     n_max: int,
     channels: IncoherentChannels | None,
     laser_omegas: list[float],
-) -> Iterator[Liouvillian]:
-    """Liouvillians at each laser frequency, assembled once at the middle one.
+) -> Iterator[np.ndarray]:
+    """Generators at each laser frequency, assembled once at the middle one.
 
     In the laser frame ``omega_l`` enters only as ``-omega_l N`` with the diagonal ``N =
     sigma^+ sigma + a^+ a``, built here as in the Hamiltonian; moving the laser by ``d`` adds
@@ -158,14 +138,13 @@ def laser_scan_liouvillians(
     omega_ref = laser_omegas[len(laser_omegas) // 2]
     ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
     reference = build_liouvillian(ham, params, channels)
-    sm = lift_qd(qd_lowering(), n_max)
-    a = lift_cavity(annihilation(n_max), n_max)
+    sm, a = _ladder(n_max)
     number = np.diag(dagger(sm) @ sm + dagger(a) @ a).real
     shift = 1j * np.subtract.outer(number, number).ravel()
     for omega in laser_omegas:
-        matrix = reference.matrix.copy()
+        matrix = reference.copy()
         matrix[np.diag_indices_from(matrix)] += (omega - omega_ref) * shift
-        yield replace(reference, matrix=matrix)
+        yield matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +157,7 @@ class SteadyState:
 
 
 def _observables(rho: np.ndarray) -> dict[str, float | complex]:
-    dim = rho.shape[0]
-    n_max = dim // 2 - 1
-    sm = lift_qd(qd_lowering(), n_max)
-    a = lift_cavity(annihilation(n_max), n_max)
+    sm, a = _ladder(rho.shape[0] // 2 - 1)
     return {
         "n_cavity": float(np.trace(dagger(a) @ a @ rho).real),
         "n_qd": float(np.trace(dagger(sm) @ sm @ rho).real),
@@ -190,7 +166,7 @@ def _observables(rho: np.ndarray) -> dict[str, float | complex]:
     }
 
 
-def steady_state(liouvillian: Liouvillian, residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
+def steady_state(liouvillian: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
     """Unique steady state via a trace-normalised linear solve.
 
     The equation for the (0, 0) matrix element is replaced by the trace
@@ -199,8 +175,8 @@ def steady_state(liouvillian: Liouvillian, residual_tol: float = STEADY_RESIDUAL
     an unacceptable residual) and raise
     :class:`~cqed_scope.errors.NonUniqueSteadyStateError`.
     """
-    dim = liouvillian.dim
-    a_mat = liouvillian.matrix.copy()
+    dim = math.isqrt(liouvillian.shape[0])
+    a_mat = liouvillian.copy()
     rhs = np.zeros(dim * dim, dtype=np.complex128)
     # Row-major flattening puts element (0, 0) in row 0 and the diagonal at i*dim+i.
     a_mat[0, :] = 0.0
@@ -223,8 +199,8 @@ def steady_state(liouvillian: Liouvillian, residual_tol: float = STEADY_RESIDUAL
         raise NonUniqueSteadyStateError(f"steady-state trace {trace} deviates from 1")
     rho = rho / trace
 
-    residual = float(np.linalg.norm(liouvillian.matrix @ rho.reshape(-1)))
-    if residual > residual_tol * max(1.0, liouvillian.norm()):
+    residual = float(np.linalg.norm(liouvillian @ rho.reshape(-1)))
+    if residual > residual_tol * max(1.0, float(np.linalg.norm(liouvillian))):
         raise NumericalError(
             f"steady-state residual {residual:.3e} exceeds tolerance; "
             "the generator may be near-degenerate"
@@ -258,7 +234,7 @@ def _rk4_segment(matrix: np.ndarray, vec: np.ndarray, span: float, step_cap: flo
 
 
 def evolve(
-    liouvillian: Liouvillian,
+    liouvillian: np.ndarray,
     rho0: np.ndarray,
     t_final: float,
     dt_max: float,
@@ -277,7 +253,8 @@ def evolve(
     if not dt_max > 0.0:
         raise ValueError("dt_max must be > 0")
     validate_density_matrix(rho0, context="initial state")
-    if rho0.shape[0] != liouvillian.dim:
+    dim = math.isqrt(liouvillian.shape[0])
+    if rho0.shape[0] != dim:
         raise ValueError("initial state dimension does not match the Liouvillian")
 
     if sample_times is None:
@@ -291,17 +268,16 @@ def evolve(
         if samples[0] < 0.0 or samples[-1] > t_final * (1.0 + 1e-12):
             raise ValueError("sample_times must lie within [0, t_final]")
 
-    norm = liouvillian.norm()
+    norm = float(np.linalg.norm(liouvillian))
     step_cap = dt_max if norm == 0.0 else min(dt_max, 0.1 / norm)
 
     vec = rho0.reshape(-1).astype(np.complex128)
-    dim = liouvillian.dim
     states: list[np.ndarray] = []
     drift = 0.0
     t_prev = 0.0
     for t in samples:
         if t > t_prev:
-            vec = _rk4_segment(liouvillian.matrix, vec, t - t_prev, step_cap)
+            vec = _rk4_segment(liouvillian, vec, t - t_prev, step_cap)
             t_prev = t
         rho = vec.reshape(dim, dim)
         trace = float(np.trace(rho).real)

@@ -95,6 +95,11 @@ class TestExitCodes:
         assert rc == 2
         assert "not found" in captured.err
 
+    def test_missing_fit_csv(self, tmp_path, capsys):
+        rc, _, captured = run_cli(capsys, ["fit", "lorentzian", str(tmp_path / "none.csv")])
+        assert rc == 2
+        assert "not found" in captured.err and "none.csv" in captured.err
+
     def test_invalid_observe_choice_is_an_argparse_error(self, tmp_path):
         path = write_ini(tmp_path, DETUNED_BASE)
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +208,15 @@ fock_cutoff = 2
         )
         assert rc == 0
         assert float(report["fwhm_ghz"]) == pytest.approx(2.0, rel=0.01)
+
+    def test_out_override_creates_missing_directories(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "scan.csv"
+        rc, report, _ = run_cli(
+            capsys, ["scan", "--config", str(CONFIG_DIR / "example.ini"), "--out", str(out)]
+        )
+        assert rc == 0
+        assert Path(report["csv"]) == out
+        assert len(read_csv(out)) == 201
 
     def test_scan_rerun_is_byte_identical(self, tmp_path, capsys):
         """Same config, two runs: identical CSV bytes."""

@@ -56,7 +56,6 @@ class TestExampleFile:
         assert cfg.rabi_ghz is None
         assert cfg.power_uw == 0.2
         assert cfg.alpha_per_uw == 0.5
-        assert cfg.laser_wavelength_nm is None
         assert cfg.power_grid == (0.05, 8.0, 12, "log")
 
     def test_numerics_and_output(self, cfg):
@@ -278,6 +277,14 @@ class TestRejections:
         given = parse_config(write_config(tmp_path, BASE + "\n[reproduce]\ni_sat_counts = 2.5\n"))
         assert given.reproduce.i_sat_counts == 2.5
 
+    def test_laser_wavelength_key_rejected(self, tmp_path):
+        # Scans and sweeps step the laser themselves, so a parked laser had no effect.
+        text = BASE + "laser_wavelength_nm = 935.0\n"
+        with pytest.raises(
+            ConfigError, match=r"unknown key\(s\) in \[drive\]: laser_wavelength_nm"
+        ):
+            parse_config(write_config(tmp_path, text))
+
     def test_workers_accepted_and_ignored(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE + "\n[numerics]\nworkers = 2\n"))
         plain = parse_config(write_config(tmp_path, BASE, name="plain.ini"))
@@ -316,11 +323,6 @@ class TestDriveTemplateVariants:
         text = BASE.replace("target = qd", "target = cavity")
         cfg = parse_config(write_config(tmp_path, text))
         assert cfg.drive_template().omega_l == cfg.system.omega_c
-
-    def test_explicit_laser_wavelength_wins(self, tmp_path):
-        text = BASE + "laser_wavelength_nm = 935.0\n"
-        cfg = parse_config(write_config(tmp_path, text))
-        assert cfg.drive_template().omega_l == wavelength_to_angular_frequency(935.0)
 
     def test_rabi_template_converts_to_angular(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE))
