@@ -2,14 +2,15 @@
 
 Every subcommand reads a strict INI config, runs one pipeline, writes CSV
 artifacts atomically and prints a flat ``key = value`` report to stdout.
-Exit codes are stable: 0 success, 2 configuration problem, 3 numerical
-failure.
+Exit codes are stable: 0 success, 2 configuration or file-system problem,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -136,6 +137,7 @@ def cmd_scan(args: argparse.Namespace) -> None:
     observe = EmissionChannel(args.observe)
     template = cfg.drive_template()
     window = auto_scan_window(cfg.system, template, cfg.scan_span_fwhm, cfg.scan_points)
+    path = _output_path(cfg, "scan", args.out)
     data = scan_laser(
         cfg.system,
         template,
@@ -146,7 +148,6 @@ def cmd_scan(args: argparse.Namespace) -> None:
         residual_tol=cfg.steady_residual_tol,
     )
     data = _maybe_noisy(cfg, data)
-    path = _output_path(cfg, "scan", args.out)
     write_csv(data, path)
     _emit("csv", path)
     _emit("points", len(data))
@@ -165,6 +166,8 @@ def cmd_power_sweep(args: argparse.Namespace) -> None:
         raise ConfigError("saturation unidentifiable: power grid has no positive powers")
     observe = EmissionChannel(args.observe)
     template = cfg.drive_template(power=float(powers[-1]))
+    sat_path = _output_path(cfg, "saturation", args.saturation_out)
+    lw_path = _output_path(cfg, "linewidths", args.linewidths_out)
     result = power_sweep(
         cfg.system,
         template,
@@ -177,13 +180,11 @@ def cmd_power_sweep(args: argparse.Namespace) -> None:
         residual_tol=cfg.steady_residual_tol,
     )
     saturation = _maybe_noisy(cfg, result.saturation, seed_offset=0)
-    sat_path = _output_path(cfg, "saturation", args.saturation_out)
     write_csv(saturation, sat_path)
     _emit("saturation_csv", sat_path)
     if result.linewidths is None:
         raise ConfigError("saturation unidentifiable: no linewidths could be measured")
     linewidths = _maybe_noisy(cfg, result.linewidths, seed_offset=1)
-    lw_path = _output_path(cfg, "linewidths", args.linewidths_out)
     write_csv(linewidths, lw_path)
     _emit("linewidth_csv", lw_path)
     if result.skipped_powers:
@@ -284,6 +285,8 @@ def cmd_fit(args: argparse.Namespace) -> None:
     elif args.model == "power-broadening":
         if args.alpha is None:
             raise ConfigError("fit power-broadening requires --alpha from a saturation fit")
+        if not (math.isfinite(args.alpha) and args.alpha > 0.0):
+            raise ConfigError(f"--alpha must be finite and > 0, got {args.alpha!r}")
         result = fit_power_broadening(data, alpha_fixed=args.alpha)
     else:
         result = fit_linear(data)
@@ -345,7 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

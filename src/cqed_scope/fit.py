@@ -1,17 +1,18 @@
-"""Weighted-uniform nonlinear least squares for the spectroscopy models.
+"""Uniformly weighted least squares for the spectroscopy models.
 
 Four models are supported:
 
 * ``lorentzian``       : A * (w/2)^2 / ((x - x0)^2 + (w/2)^2) + B
 * ``saturation``       : I_sat * alpha*x / (1 + alpha*x)
-* ``power_broadening`` : C + D * sqrt(1 + alpha_fixed * x)   (alpha held fixed)
+* ``power_broadening`` : C + D * sqrt(1 + alpha_fixed * x)   (alpha fixed, closed form)
 * ``linear``           : m*x + b                              (closed form)
 
-The nonlinear models share one damped Gauss-Newton solver with a
-Levenberg-Marquardt damping schedule (start 1e-3, times 10 on a rejected
-step, divide by 10 on an accepted one) and analytic Jacobians throughout.
-Parameter uncertainties come from the inverse Gauss-Newton Hessian scaled by
-the residual variance.  All samples carry uniform weight.
+The two nonlinear models, Lorentzian and saturation, share one damped
+Gauss-Newton solver with a Levenberg-Marquardt damping schedule (start 1e-3,
+times 10 on a rejected step, divide by 10 on an accepted one) and analytic
+Jacobians.  Their parameter uncertainties come from the inverse Gauss-Newton
+Hessian scaled by the residual variance.  The two models that are linear in
+their parameters share one closed-form least-squares line.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class FitResult:
 
     ``params`` and ``uncertainties`` are parallel name -> value maps; the
     uncertainties are 1-sigma estimates.  ``residual_norm`` is the root
-    mean square residual.  ``converged`` is only set when the gradient of
-    the sum-of-squares objective satisfies
+    mean square residual.  The closed-form fits report ``converged`` with 0
+    iterations; an iterative fit sets it only when the gradient of the
+    sum-of-squares objective satisfies
     ``||grad|| <= 1e-8 * (1 + objective)``.  The criterion is evaluated on
     the internally normalised problem (intensities divided by a power-of-two
     scale, sample coordinates mapped to an O(1) interval); for data that is
@@ -393,56 +395,39 @@ def fit_saturation(data: SpectrumDataset, max_iterations: int = MAX_ITERATIONS) 
 # Power broadening (alpha chained from a saturation fit)
 
 
-def fit_power_broadening(
-    data: SpectrumDataset, alpha_fixed: float, max_iterations: int = MAX_ITERATIONS
-) -> FitResult:
+def fit_power_broadening(data: SpectrumDataset, alpha_fixed: float) -> FitResult:
     """Fit ``C + D * sqrt(1 + alpha_fixed * x)`` to linewidth (GHz) versus power.
 
     ``alpha_fixed`` comes from the matching saturation fit and is never
     refitted; it is echoed into the result untouched so downstream reports
     can assert the chaining.  ``C`` is the power-independent contribution
     (``delta_omega_c / 2pi``), ``D`` the power-broadened one
-    (``delta_omega_0 / 2pi``).
+    (``delta_omega_0 / 2pi``).  With ``alpha`` frozen the model is a straight
+    line in ``sqrt(1 + alpha_fixed * x)``, so the fit is closed form.
     """
-    if not alpha_fixed > 0.0:
+    if not (math.isfinite(alpha_fixed) and alpha_fixed > 0.0):
         raise ChainingError(
-            f"chained alpha must be > 0, got {alpha_fixed!r}; run the saturation fit first"
+            f"chained alpha must be finite and > 0, got {alpha_fixed!r}; "
+            "run the saturation fit first"
         )
-    x = data.x
-    if x.size < 5:
-        raise ValueError(f"power-broadening fit needs at least 5 samples, got {x.size}")
-    scale = _y_scale(data.y)
-    y = data.y / scale
-    root = np.sqrt(1.0 + alpha_fixed * x)
-
-    def resid(p: np.ndarray) -> np.ndarray:
-        return p[0] + p[1] * root - y
-
-    def jac(p: np.ndarray) -> np.ndarray:
-        cols = np.empty((x.size, 2))
-        cols[:, 0] = 1.0
-        cols[:, 1] = root
-        return cols
-
-    # Extrapolate to zero power for the broadened term, then take what is
-    # left of the smallest sample for the constant term.
-    if x[0] > 0.0 and x.size > 1 and x[1] > x[0]:
-        d0 = float(y[0] - (y[1] - y[0]) / (x[1] - x[0]) * x[0])
-    else:
-        d0 = float(y[0])
-    c0 = max(float(y.min()) - d0, 0.0)
-    out = _levenberg_marquardt(resid, jac, np.array([c0, d0]), max_iterations)
-    result = _result_from_solver(
-        FitModel.POWER_BROADENING,
-        ["delta_omega_c_ghz", "delta_omega_0_ghz"],
-        out,
-        y_scale=scale,
-        scaled_params=("delta_omega_c_ghz", "delta_omega_0_ghz"),
-    )
+    if data.x.size < 5:
+        raise ValueError(f"power-broadening fit needs at least 5 samples, got {data.x.size}")
+    if data.x.min() < 0.0:
+        raise ValueError("power-broadening fit needs powers >= 0")
+    line = _straight_line(np.sqrt(1.0 + alpha_fixed * data.x), data.y)
     return replace(
-        result,
-        params={**result.params, "alpha_per_uw": alpha_fixed},
-        uncertainties={**result.uncertainties, "alpha_per_uw": 0.0},
+        line,
+        model=FitModel.POWER_BROADENING,
+        params={
+            "delta_omega_c_ghz": line.params["intercept"],
+            "delta_omega_0_ghz": line.params["slope"],
+            "alpha_per_uw": alpha_fixed,
+        },
+        uncertainties={
+            "delta_omega_c_ghz": line.uncertainties["intercept"],
+            "delta_omega_0_ghz": line.uncertainties["slope"],
+            "alpha_per_uw": 0.0,
+        },
     )
 
 
@@ -450,22 +435,19 @@ def fit_power_broadening(
 # Straight line (closed form)
 
 
-def fit_linear(data: SpectrumDataset) -> FitResult:
-    """Ordinary least squares line with standard errors on slope and intercept."""
-    x, y = data.x, data.y
-    if x.size < 2:
-        raise ValueError("linear fit needs at least 2 samples")
-    sxx = float(np.sum((x - x.mean()) ** 2))
+def _straight_line(u: np.ndarray, y: np.ndarray) -> FitResult:
+    """Ordinary least squares ``slope * u + intercept`` with standard errors."""
+    sxx = float(np.sum((u - u.mean()) ** 2))
     if sxx == 0.0:
         raise ValueError("all x values are equal; slope is not identifiable")
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    residuals = slope * x + intercept - y
+    slope = float(np.sum((u - u.mean()) * (y - y.mean())) / sxx)
+    intercept = float(y.mean() - slope * u.mean())
+    residuals = slope * u + intercept - y
     ssr = float(residuals @ residuals)
-    n = x.size
+    n = u.size
     variance = ssr / (n - 2) if n > 2 else 0.0
     sigma_slope = math.sqrt(variance / sxx)
-    sigma_intercept = math.sqrt(variance * (1.0 / n + x.mean() ** 2 / sxx))
+    sigma_intercept = math.sqrt(variance * (1.0 / n + u.mean() ** 2 / sxx))
     return FitResult(
         model=FitModel.LINEAR,
         params={"slope": slope, "intercept": intercept},
@@ -474,6 +456,13 @@ def fit_linear(data: SpectrumDataset) -> FitResult:
         converged=True,
         iterations=0,
     )
+
+
+def fit_linear(data: SpectrumDataset) -> FitResult:
+    """Ordinary least squares line with standard errors on slope and intercept."""
+    if data.x.size < 2:
+        raise ValueError("linear fit needs at least 2 samples")
+    return _straight_line(data.x, data.y)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,68 @@ class TestExitCodes:
         assert rc == 2
         assert "--alpha" in captured.err
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "0", "-1"])
+    def test_power_broadening_fit_rejects_unusable_alpha(self, tmp_path, capsys, alpha):
+        data = SpectrumDataset(
+            kind=ScanKind.POWER_SWEEP,
+            x=np.linspace(0.1, 5.0, 9),
+            y=np.full(9, 4.0),
+            x_unit="uW",
+            y_unit="fwhm_ghz",
+        )
+        path = tmp_path / "widths.csv"
+        write_csv(data, path)
+        rc, report, captured = run_cli(
+            capsys, ["fit", "power-broadening", str(path), f"--alpha={alpha}"]
+        )
+        assert rc == 2
+        assert "--alpha" in captured.err
+        assert report == {}
+
+    def test_unusable_scan_output_exits_2_before_solving(self, tmp_path, capsys, monkeypatch):
+        def must_not_scan(*args, **kwargs):
+            pytest.fail("the scan ran before its output path was resolved")
+
+        monkeypatch.setattr("cqed_scope.cli.scan_laser", must_not_scan)
+        (tmp_path / "afile").write_text("")
+        rc, _, captured = run_cli(
+            capsys,
+            [
+                "scan",
+                "--config",
+                str(CONFIG_DIR / "example.ini"),
+                "--out",
+                str(tmp_path / "afile" / "x.csv"),
+            ],
+        )
+        assert rc == 2
+        assert "afile" in captured.err
+
+    def test_unusable_sweep_output_exits_2_before_writing(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        rc, _, captured = run_cli(
+            capsys,
+            [
+                "power-sweep",
+                "--config",
+                str(CONFIG_DIR / "example.ini"),
+                "--saturation-out",
+                str(tmp_path / "sat.csv"),
+                "--linewidths-out",
+                str(tmp_path / "afile" / "lw.csv"),
+            ],
+        )
+        assert rc == 2
+        assert "afile" in captured.err
+        assert not (tmp_path / "sat.csv").exists()
+
+    def test_reproduce_into_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "afile"))
+        rc, _, captured = run_cli(capsys, ["reproduce", "--table", "table2"])
+        assert rc == 2
+        assert "afile" in captured.err
+
 
 class TestScanCommand:
     def test_example_scan_report_and_artifact(self, tmp_path, capsys, monkeypatch):

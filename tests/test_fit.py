@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import ChainingError, IllPosedWindowError, NoSignalError
@@ -206,12 +208,19 @@ class TestFitPowerBroadening:
         assert result.params["alpha_per_uw"] == alpha
         assert result.uncertainties["alpha_per_uw"] == 0.0
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.2])
+    @pytest.mark.parametrize("alpha", [0.0, -0.2, float("inf"), float("nan")])
     def test_unusable_chained_alpha_rejected(self, alpha):
         x = np.geomspace(0.1, 200.0, 25)
         y = 12.6 + 1.96 * np.sqrt(1.0 + 0.2 * x)
         with pytest.raises(ChainingError):
             fit_power_broadening(linewidth_dataset(x, y), alpha_fixed=alpha)
+
+    def test_negative_powers_rejected(self):
+        # sqrt(1 + alpha * x) is undefined below x = -1/alpha; a closed-form
+        # fit would return NaN widths marked converged.
+        x = np.linspace(-5.0, 0.0, 6)
+        with pytest.raises(ValueError, match="powers >= 0"):
+            fit_power_broadening(linewidth_dataset(x, np.arange(1.0, 7.0)), alpha_fixed=1.0)
 
     def test_gradient_vanishes_at_the_reported_optimum(self):
         x = np.geomspace(0.05, 1000.0, 40)
@@ -230,6 +239,40 @@ class TestFitPowerBroadening:
         )
         grad = central_gradient(objective, params, scales=[1.0, 1.0])
         assert np.linalg.norm(grad) <= 1e-6 * (1.0 + objective(params))
+
+    @settings(max_examples=150)
+    @given(
+        log_alpha=st.floats(min_value=-3.0, max_value=1.0),
+        log_p_tilde_max=st.floats(min_value=-0.5, max_value=4.0),
+        low_fraction=st.floats(min_value=0.0, max_value=0.3),
+        points=st.integers(min_value=5, max_value=60),
+        log_spaced=st.booleans(),
+        c=st.floats(min_value=-5.0, max_value=20.0),
+        log_d=st.floats(min_value=-2.0, max_value=1.3),
+        noise=st.sampled_from([0.0, 1e-3, 0.03]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_linear_least_squares(
+        self, log_alpha, log_p_tilde_max, low_fraction, points, log_spaced, c, log_d, noise, seed
+    ):
+        """With alpha frozen the model is linear in (C, D): the fit is the exact optimum."""
+        alpha = 10.0**log_alpha
+        p_max = 10.0**log_p_tilde_max / alpha
+        if log_spaced:
+            x = np.geomspace(max(low_fraction, 1e-3) * p_max, p_max, points)
+        else:
+            x = np.linspace(low_fraction * p_max, p_max, points)
+        root = np.sqrt(1.0 + alpha * x)
+        clean = linewidth_dataset(x, c + 10.0**log_d * root)
+        data = synthesize_noisy(clean, noise, seed)
+        result = fit_power_broadening(data, alpha_fixed=alpha)
+        assert result.converged
+        assert result.iterations == 0
+
+        design = np.column_stack([np.ones_like(root), root])
+        expected = np.linalg.lstsq(design, data.y, rcond=None)[0]
+        got = np.array([result.params["delta_omega_c_ghz"], result.params["delta_omega_0_ghz"]])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestFitLinear:
