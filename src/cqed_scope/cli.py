@@ -277,19 +277,37 @@ def _reproduce_excess_row(cfg: RunConfig, rep, label: str) -> None:
 def cmd_fit(args: argparse.Namespace) -> None:
     if not Path(args.csv).is_file():
         raise ConfigError(f"csv file not found: {args.csv}")
-    data = read_csv(args.csv)
-    if args.model == "lorentzian":
-        result = fit_lorentzian(data)
-    elif args.model == "saturation":
-        result = fit_saturation(data)
-    elif args.model == "power-broadening":
+    if args.model == "power-broadening":
         if args.alpha is None:
             raise ConfigError("fit power-broadening requires --alpha from a saturation fit")
         if not (math.isfinite(args.alpha) and args.alpha > 0.0):
             raise ConfigError(f"--alpha must be finite and > 0, got {args.alpha!r}")
-        result = fit_power_broadening(data, alpha_fixed=args.alpha)
-    else:
-        result = fit_linear(data)
+    elif args.alpha is not None:
+        raise ConfigError(f"--alpha applies to power-broadening only, not to {args.model}")
+    header, fit = {
+        "lorentzian": ("wavelength_nm,intensity", fit_lorentzian),
+        "saturation": ("power_uw,intensity", fit_saturation),
+        "power-broadening": (
+            "power_uw,fwhm_ghz",
+            lambda data: fit_power_broadening(data, alpha_fixed=args.alpha),
+        ),
+        "linear": (None, fit_linear),
+    }[args.model]
+    # A fault in the data is reported against the file, not as an invalid
+    # configuration; read_csv's messages already name the file.
+    try:
+        data = read_csv(args.csv)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if header not in (None, data.header):
+        raise ConfigError(
+            f"{args.csv}: header {data.header!r} does not fit the {args.model} model, "
+            f"which needs {header!r}"
+        )
+    try:
+        result = fit(data)
+    except ValueError as exc:
+        raise ConfigError(f"{args.csv}: {exc}") from exc
     for line in result.report_lines():
         print(line)
 

@@ -91,10 +91,16 @@ def write_csv(dataset: SpectrumDataset, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> SpectrumDataset:
-    """Parse a CSV written by :func:`write_csv` (or anything matching its shape)."""
+    """Parse a CSV written by :func:`write_csv` (or anything matching its shape).
+
+    Every ``ValueError`` it raises names the file.
+    """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text") from exc
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0]
@@ -113,11 +119,14 @@ def read_csv(path: str | Path) -> SpectrumDataset:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
     kind = ScanKind.LASER_WAVELENGTH if x_unit == "nm" else ScanKind.POWER_SWEEP
-    return SpectrumDataset(
-        kind=kind,
-        x=np.array(xs),
-        y=np.array(ys),
-        x_unit=x_unit,
-        y_unit=y_unit,
-        meta={"source": str(path)},
-    )
+    try:
+        return SpectrumDataset(
+            kind=kind,
+            x=np.array(xs),
+            y=np.array(ys),
+            x_unit=x_unit,
+            y_unit=y_unit,
+            meta={"source": str(path)},
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

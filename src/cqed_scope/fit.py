@@ -29,7 +29,6 @@ from .errors import ChainingError, IllPosedWindowError, NoSignalError
 from .model import TWO_PI
 
 GRADIENT_RTOL = 1e-8
-STEP_RTOL = 1e-10
 MAX_ITERATIONS = 200
 
 
@@ -47,9 +46,11 @@ class FitResult:
     ``params`` and ``uncertainties`` are parallel name -> value maps; the
     uncertainties are 1-sigma estimates.  ``residual_norm`` is the root
     mean square residual.  The closed-form fits report ``converged`` with 0
-    iterations; an iterative fit sets it only when the gradient of the
-    sum-of-squares objective satisfies
-    ``||grad|| <= 1e-8 * (1 + objective)``.  The criterion is evaluated on
+    iterations.  An iterative fit counts its Gauss-Newton steps, at most
+    ``MAX_ITERATIONS``, and sets ``converged`` exactly when the gradient of
+    the sum-of-squares objective at the returned parameters satisfies
+    ``||grad|| <= 1e-8 * (1 + objective)``, also after the last allowed
+    step; otherwise ``message`` says why it stopped.  The criterion is evaluated on
     the internally normalised problem (intensities divided by a power-of-two
     scale, sample coordinates mapped to an O(1) interval); for data that is
     already O(1) in both axes the normalisation is the identity and the
@@ -82,17 +83,6 @@ class FitResult:
         return lines
 
 
-@dataclass
-class _SolverOutput:
-    params: np.ndarray
-    covariance: np.ndarray
-    objective: float
-    residual_rms: float
-    converged: bool
-    iterations: int
-    message: str
-
-
 def _y_scale(y: np.ndarray) -> float:
     """Power-of-two scale of the data, used to normalise fits internally.
 
@@ -107,27 +97,22 @@ def _y_scale(y: np.ndarray) -> float:
     return float(2.0 ** math.floor(math.log2(top)))
 
 
-def _covariance(jac: np.ndarray, objective: float, n_points: int) -> np.ndarray:
-    n_params = jac.shape[1]
-    dof = max(n_points - n_params, 1)
-    hessian = jac.T @ jac
-    try:
-        inv = np.linalg.inv(hessian)
-    except np.linalg.LinAlgError:
-        inv = np.linalg.pinv(hessian)
-    return inv * (objective / dof)
-
-
-def _levenberg_marquardt(
+def _gauss_newton(
+    model: FitModel,
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
-    max_iterations: int = MAX_ITERATIONS,
-) -> _SolverOutput:
-    """Damped Gauss-Newton iteration on ``sum(residual**2)``.
+    data_units: dict[str, tuple[float, float]],
+    y_scale: float,
+) -> FitResult:
+    """Damped Gauss-Newton iteration on ``sum(residual**2)`` of a normalised problem.
 
     The damping term is ``lam * diag(J^T J)`` (Marquardt scaling), which
     keeps the schedule meaningful for badly scaled parameter sets.
+    ``data_units`` maps each parameter name, in the order of ``p0``, to the
+    ``(offset, factor)`` that takes its solved value ``p`` to the data's units
+    as ``offset + factor * p`` and its variance as ``factor**2 * var``;
+    ``y_scale`` takes the residuals to the data's units.
     """
     params = np.asarray(p0, dtype=float).copy()
     res = residual_fn(params)
@@ -137,13 +122,16 @@ def _levenberg_marquardt(
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    while True:
         jac = jacobian_fn(params)
         gradient = 2.0 * jac.T @ res
         if np.linalg.norm(gradient) <= GRADIENT_RTOL * (1.0 + objective):
             converged = True
-            iterations -= 1
             break
+        if iterations == MAX_ITERATIONS:
+            message = "no convergence within iteration budget"
+            break
+        iterations += 1
 
         hessian = jac.T @ jac
         diag = np.diag(hessian).copy()
@@ -190,60 +178,27 @@ def _levenberg_marquardt(
                 if np.linalg.norm(gradient) <= GRADIENT_RTOL * (1.0 + objective):
                     converged = True
                     break
-            if converged:
-                break
-            message = "damping overflow; no descent step found"
+            if not converged:
+                message = "damping overflow; no descent step found"
             break
-        if np.linalg.norm(step) < STEP_RTOL * (1.0 + np.linalg.norm(params)):
-            # Steps this small only happen next to an optimum.  Stop once
-            # the gradient confirms it; otherwise keep polishing -- the
-            # budget bounds the loop and ``converged`` stays honest (it
-            # always implies the gradient criterion).
-            jac = jacobian_fn(params)
-            gradient = 2.0 * jac.T @ res
-            if np.linalg.norm(gradient) <= GRADIENT_RTOL * (1.0 + objective):
-                converged = True
-                break
-    else:
-        iterations = max_iterations
-        message = "no convergence within iteration budget"
 
-    jac = jacobian_fn(params)
-    cov = _covariance(jac, objective, res.size)
-    return _SolverOutput(
-        params=params,
-        covariance=cov,
-        objective=objective,
-        residual_rms=math.sqrt(objective / res.size),
+    # ``jac`` belongs to the returned parameters on every exit path.
+    hessian = jac.T @ jac
+    try:
+        inv = np.linalg.inv(hessian)
+    except np.linalg.LinAlgError:
+        inv = np.linalg.pinv(hessian)
+    variances = np.diag(inv * (objective / max(res.size - params.size, 1)))
+    offsets, factors = np.array(list(data_units.values())).T
+    sigmas = np.sqrt(np.maximum(variances * factors**2, 0.0))
+    return FitResult(
+        model=model,
+        params={name: float(v) for name, v in zip(data_units, offsets + factors * params)},
+        uncertainties={name: float(s) for name, s in zip(data_units, sigmas)},
+        residual_norm=math.sqrt(objective / res.size) * y_scale,
         converged=converged,
         iterations=iterations,
         message=message,
-    )
-
-
-def _result_from_solver(
-    model: FitModel,
-    names: list[str],
-    out: _SolverOutput,
-    y_scale: float = 1.0,
-    scaled_params: tuple[str, ...] = (),
-) -> FitResult:
-    """Package solver output, undoing the internal y normalisation."""
-    sigmas = np.sqrt(np.maximum(np.diag(out.covariance), 0.0))
-    params = {}
-    uncertainties = {}
-    for name, value, sigma in zip(names, out.params, sigmas):
-        factor = y_scale if name in scaled_params else 1.0
-        params[name] = float(value) * factor
-        uncertainties[name] = float(sigma) * factor
-    return FitResult(
-        model=model,
-        params=params,
-        uncertainties=uncertainties,
-        residual_norm=out.residual_rms * y_scale,
-        converged=out.converged,
-        iterations=out.iterations,
-        message=out.message,
     )
 
 
@@ -251,7 +206,7 @@ def _result_from_solver(
 # Lorentzian
 
 
-def fit_lorentzian(data: SpectrumDataset, max_iterations: int = MAX_ITERATIONS) -> FitResult:
+def fit_lorentzian(data: SpectrumDataset) -> FitResult:
     """Fit a flat-baseline Lorentzian to a single-peaked scan.
 
     Initial guesses: amplitude = peak minus floor, baseline = floor, centre
@@ -315,27 +270,22 @@ def fit_lorentzian(data: SpectrumDataset, max_iterations: int = MAX_ITERATIONS) 
         return cols
 
     p0 = np.array([amp0, float(x[peak]), width0, base0])
-    out = _levenberg_marquardt(resid, jac, p0, max_iterations)
-    out.params[2] = abs(out.params[2])  # model is even in the width
-    # Map centre and width back to the data's x units.
-    out.params[1] = x_mid + out.params[1] * x_span
-    out.params[2] *= x_span
-    out.covariance[1, 1] *= x_span**2
-    out.covariance[2, 2] *= x_span**2
-    return _result_from_solver(
-        FitModel.LORENTZIAN,
-        ["amplitude", "center", "fwhm", "baseline"],
-        out,
-        y_scale=scale,
-        scaled_params=("amplitude", "baseline"),
-    )
+    data_units = {
+        "amplitude": (0.0, scale),
+        "center": (x_mid, x_span),
+        "fwhm": (0.0, x_span),
+        "baseline": (0.0, scale),
+    }
+    result = _gauss_newton(FitModel.LORENTZIAN, resid, jac, p0, data_units, scale)
+    result.params["fwhm"] = abs(result.params["fwhm"])  # model is even in the width
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Saturation
 
 
-def fit_saturation(data: SpectrumDataset, max_iterations: int = MAX_ITERATIONS) -> FitResult:
+def fit_saturation(data: SpectrumDataset) -> FitResult:
     """Fit ``I_sat * alpha*x / (1 + alpha*x)`` to intensity versus power.
 
     Raises :class:`~cqed_scope.errors.NoSignalError` on all-zero data.  When
@@ -369,16 +319,8 @@ def fit_saturation(data: SpectrumDataset, max_iterations: int = MAX_ITERATIONS) 
         return cols
 
     p0 = np.array([1.5 * float(y.max()), 1.0 / float(np.median(x[x > 0.0]))])
-    out = _levenberg_marquardt(resid, jac, p0, max_iterations)
-    out.params[1] /= x_span
-    out.covariance[1, 1] /= x_span**2
-    result = _result_from_solver(
-        FitModel.SATURATION,
-        ["i_sat", "alpha_per_uw"],
-        out,
-        y_scale=scale,
-        scaled_params=("i_sat",),
-    )
+    data_units = {"i_sat": (0.0, scale), "alpha_per_uw": (0.0, 1.0 / x_span)}
+    result = _gauss_newton(FitModel.SATURATION, resid, jac, p0, data_units, scale)
     # Data whose best-fit curve never bends constrains only the product
     # I_sat * alpha; the solver then walks an ever-flatter valley without
     # converging and the local covariance underestimates the unconstrained

@@ -225,6 +225,78 @@ class TestExitCodes:
         assert rc == 2
         assert "afile" in captured.err
 
+    @pytest.mark.parametrize(
+        "model, y_unit, expected",
+        [
+            ("lorentzian", "intensity", "wavelength_nm,intensity"),
+            ("saturation", "fwhm_ghz", "power_uw,intensity"),
+            ("power-broadening", "intensity", "power_uw,fwhm_ghz"),
+        ],
+    )
+    def test_fit_rejects_a_csv_of_another_model(self, tmp_path, capsys, model, y_unit, expected):
+        data = SpectrumDataset(
+            ScanKind.POWER_SWEEP, np.linspace(0.1, 5.0, 9), np.linspace(1.0, 3.0, 9), "uW", y_unit
+        )
+        path = tmp_path / "series.csv"
+        write_csv(data, path)
+        argv = ["fit", model, str(path)] + (["--alpha", "1"] if model == "power-broadening" else [])
+        rc, report, captured = run_cli(capsys, argv)
+        assert rc == 2
+        assert report == {}
+        assert "series.csv" in captured.err
+        assert data.header in captured.err and expected in captured.err
+
+    def test_linear_fit_takes_any_header(self, tmp_path, capsys):
+        data = SpectrumDataset(
+            ScanKind.POWER_SWEEP, np.linspace(0.1, 5.0, 9), np.linspace(1.0, 3.0, 9), "uW", "intensity"
+        )
+        path = tmp_path / "series.csv"
+        write_csv(data, path)
+        rc, report, _ = run_cli(capsys, ["fit", "linear", str(path)])
+        assert rc == 0
+        assert float(report["slope"]) == pytest.approx(2.0 / 4.9, rel=1e-9)
+
+    @pytest.mark.parametrize("model", ["lorentzian", "saturation", "linear"])
+    def test_alpha_only_with_power_broadening(self, tmp_path, capsys, model):
+        x = np.linspace(930.85, 931.15, 101)
+        data = SpectrumDataset(
+            ScanKind.LASER_WAVELENGTH, x, 0.8 / (1.0 + ((x - 931.0) / 0.025) ** 2), "nm", "intensity"
+        )
+        path = tmp_path / "line.csv"
+        write_csv(data, path)
+        rc, report, captured = run_cli(capsys, ["fit", model, str(path), "--alpha", "5"])
+        assert rc == 2
+        assert report == {}
+        assert "--alpha" in captured.err
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            (b"power_uw,fwhm_ghz\n1,2\n2,3\n3,4\n", "at least 5 samples, got 3"),
+            (b"power_uw,fwhm_ghz\n1,2\n2,x\n", "non-numeric cell"),
+            (b"power_uw,fwhm_ghz\n2,2\n1,3\n", "strictly increasing"),
+            (b"power_uw,fwhm_ghz\n1,\xff\n", "not UTF-8"),
+        ],
+    )
+    def test_fit_data_faults_name_the_csv(self, tmp_path, capsys, text, fault):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        rc, report, captured = run_cli(capsys, ["fit", "power-broadening", str(path), "--alpha", "1"])
+        assert rc == 2
+        assert report == {}
+        assert "data.csv" in captured.err and fault in captured.err
+        assert "invalid configuration" not in captured.err
+
+    def test_fit_lets_a_programming_error_through(self, tmp_path, capsys, monkeypatch):
+        def broken(data):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("cqed_scope.cli.fit_linear", broken)
+        path = tmp_path / "line.csv"
+        path.write_text("power_uw,fwhm_ghz\n1,2\n2,3\n")
+        with pytest.raises(TypeError, match="bug"):
+            main(["fit", "linear", str(path)])
+
 
 class TestScanCommand:
     def test_example_scan_report_and_artifact(self, tmp_path, capsys, monkeypatch):

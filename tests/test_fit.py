@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqed_scope import fit
 from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import ChainingError, IllPosedWindowError, NoSignalError
 from cqed_scope.fit import (
@@ -33,6 +34,11 @@ def saturation_dataset(x, y):
 
 def linewidth_dataset(x, y):
     return SpectrumDataset(kind=ScanKind.POWER_SWEEP, x=x, y=y, x_unit="uW", y_unit="fwhm_ghz")
+
+
+def power_of_two_scale(y):
+    """Largest power of two not above the data's peak magnitude."""
+    return 2.0 ** np.floor(np.log2(np.max(np.abs(y))))
 
 
 def assert_uncertainties_nonnegative(result):
@@ -89,22 +95,71 @@ class TestFitLorentzian:
         assert big.params["fwhm"] == base.params["fwhm"]
         assert big.iterations == base.iterations
 
-    def test_gradient_vanishes_at_the_reported_optimum(self):
+    @settings(max_examples=150)
+    @given(
+        points=st.integers(min_value=15, max_value=201),
+        log_span=st.floats(min_value=-2.0, max_value=1.0),
+        center_fraction=st.floats(min_value=0.2, max_value=0.8),
+        log_width_fraction=st.floats(min_value=-1.5, max_value=0.0),
+        log_amplitude=st.floats(min_value=-3.0, max_value=4.0),
+        baseline_fraction=st.floats(min_value=0.0, max_value=0.5),
+        noise=st.sampled_from([0.0, 1e-3, 0.03]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_gradient_vanishes_at_the_reported_optimum(
+        self, points, log_span, center_fraction, log_width_fraction, log_amplitude,
+        baseline_fraction, noise, seed,
+    ):
+        span = 10.0**log_span
+        x = np.linspace(930.0, 930.0 + span, points)
+        amplitude = 10.0**log_amplitude
+        clean = lorentzian(
+            x, amplitude, 930.0 + center_fraction * span, 10.0**log_width_fraction * span,
+            baseline_fraction * amplitude,
+        )
+        data = synthesize_noisy(wavelength_dataset(x, clean), noise, seed)
+        try:
+            result = fit_lorentzian(data)
+        except IllPosedWindowError:
+            return  # noise moved the tallest sample onto an edge
+        if not result.converged:
+            return
+
+        # The convergence criterion holds on intensities divided by their
+        # power-of-two scale and on positions in units of the window span.
+        scale = power_of_two_scale(data.y)
+        y = data.y / scale
+
+        def objective(p):
+            return float(np.sum((lorentzian(x, *p) - y) ** 2))
+
+        params = np.array([
+            result.params["amplitude"] / scale, result.params["center"],
+            result.params["fwhm"], result.params["baseline"] / scale,
+        ])
+        width = result.params["fwhm"]
+        grad = central_gradient(objective, params, scales=[1.0, width, width, 1.0])
+        grad *= [1.0, span, span, 1.0]
+        assert np.linalg.norm(grad) <= 1e-6 * (1.0 + objective(params))
+
+    def test_iteration_budget_exit(self, monkeypatch):
         x = np.linspace(930.9, 931.1, 201)
         clean = lorentzian(x, 1.3, 931.0, 0.0879, 0.1)
         data = synthesize_noisy(wavelength_dataset(x, clean), 0.01, seed=3)
+        assert fit_lorentzian(data).iterations > 3
+        monkeypatch.setattr(fit, "MAX_ITERATIONS", 3)
         result = fit_lorentzian(data)
-        assert result.converged
+        assert not result.converged
+        assert result.message == "no convergence within iteration budget"
+        assert result.iterations == 3
 
-        def objective(p):
-            return float(np.sum((lorentzian(x, *p) - data.y) ** 2))
-
-        params = np.array(
-            [result.params[k] for k in ("amplitude", "center", "fwhm", "baseline")]
-        )
-        span = float(x[-1] - x[0])
-        grad = central_gradient(objective, params, scales=[1.0, span, span, 1.0])
-        assert np.linalg.norm(grad) <= 1e-6 * (1.0 + objective(params))
+    def test_last_allowed_step_can_converge(self, monkeypatch):
+        x = np.linspace(930.9, 931.1, 201)
+        clean = lorentzian(x, 1.3, 931.0, 0.0879, 0.1)
+        data = synthesize_noisy(wavelength_dataset(x, clean), 0.01, seed=3)
+        unbounded = fit_lorentzian(data)
+        monkeypatch.setattr(fit, "MAX_ITERATIONS", unbounded.iterations)
+        assert fit_lorentzian(data) == unbounded
 
 
 class TestFitSaturation:
@@ -133,18 +188,41 @@ class TestFitSaturation:
         with pytest.raises(ValueError):
             fit_saturation(saturation_dataset(np.array([1.0]), np.array([2.0])))
 
-    def test_gradient_vanishes_at_the_reported_optimum(self):
-        x = np.geomspace(0.1, 50.0, 20)
-        clean = 1.5 * (0.2 * x) / (1.0 + 0.2 * x)
-        data = synthesize_noisy(saturation_dataset(x, clean), 0.03, seed=5)
+    @settings(max_examples=150)
+    @given(
+        points=st.integers(min_value=5, max_value=40),
+        log_p_max=st.floats(min_value=-2.0, max_value=3.0),
+        low_fraction=st.floats(min_value=1e-3, max_value=0.3),
+        log_spaced=st.booleans(),
+        log_saturation=st.floats(min_value=-1.0, max_value=2.5),
+        log_i_sat=st.floats(min_value=-3.0, max_value=5.0),
+        noise=st.sampled_from([0.0, 1e-3, 0.03]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_gradient_vanishes_at_the_reported_optimum(
+        self, points, log_p_max, low_fraction, log_spaced, log_saturation, log_i_sat, noise, seed
+    ):
+        p_max = 10.0**log_p_max
+        grid = np.geomspace if log_spaced else np.linspace
+        x = grid(low_fraction * p_max, p_max, points)
+        alpha = 10.0**log_saturation / p_max
+        clean = 10.0**log_i_sat * alpha * x / (1.0 + alpha * x)
+        data = synthesize_noisy(saturation_dataset(x, clean), noise, seed)
         result = fit_saturation(data)
-        assert result.converged
+        if not result.converged:
+            return
+
+        # The convergence criterion holds on intensities divided by their
+        # power-of-two scale and on powers in units of the largest one.
+        scale = power_of_two_scale(data.y)
+        y = data.y / scale
 
         def objective(p):
-            return float(np.sum((p[0] * p[1] * x / (1.0 + p[1] * x) - data.y) ** 2))
+            return float(np.sum((p[0] * p[1] * x / (1.0 + p[1] * x) - y) ** 2))
 
-        params = np.array([result.params["i_sat"], result.params["alpha_per_uw"]])
-        grad = central_gradient(objective, params, scales=[1.0, 1.0])
+        params = np.array([result.params["i_sat"] / scale, result.params["alpha_per_uw"]])
+        grad = central_gradient(objective, params, scales=np.abs(params))
+        grad *= [1.0, 1.0 / p_max]
         assert np.linalg.norm(grad) <= 1e-6 * (1.0 + objective(params))
 
     def test_convergence_flag_certifies_the_gradient_criterion(self):
