@@ -33,10 +33,10 @@ from .fit import (
     fit_saturation,
 )
 from .model import (
-    SPEED_OF_LIGHT_NM_GHZ,
     TWO_PI,
     DriveTarget,
     angular_to_ghz,
+    fwhm_nm_to_ghz,
 )
 from .reproduce import (
     chained_fit_power_grid,
@@ -57,10 +57,6 @@ def _emit(key: str, value) -> None:
         print(f"{key} = {value:.10g}")
     else:
         print(f"{key} = {value}")
-
-
-def _fwhm_nm_to_ghz(fwhm_nm: float, centre_nm: float) -> float:
-    return fwhm_nm * SPEED_OF_LIGHT_NM_GHZ / centre_nm**2
 
 
 def _output_path(cfg: RunConfig, suffix: str, override: str | None = None) -> Path:
@@ -156,7 +152,7 @@ def cmd_scan(args: argparse.Namespace) -> None:
         print(line)
     if result.converged:
         _emit("fwhm_nm", result.params["fwhm"])
-        _emit("fwhm_ghz", _fwhm_nm_to_ghz(result.params["fwhm"], result.params["center"]))
+        _emit("fwhm_ghz", fwhm_nm_to_ghz(result.params["fwhm"], result.params["center"]))
 
 
 def cmd_power_sweep(args: argparse.Namespace) -> None:

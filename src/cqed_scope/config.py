@@ -1,16 +1,17 @@
 """Strict INI run configuration.
 
-Sections and keys are fixed; anything unrecognised is rejected by name so a
-typo cannot silently fall back to a default.  All frequencies in the file
-are ordinary frequencies in GHz, wavelengths nm, powers uW; conversion to
-internal angular units happens here and nowhere else.
+Each key is declared once, with its type, in ``_KEYS``.  Anything unknown
+is rejected by name so a typo cannot fall back to a default, and every
+number must be finite.  File frequencies are ordinary GHz, wavelengths nm,
+powers uW; conversion to angular units happens here and nowhere else.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,50 +28,63 @@ from .model import (
 #: Environment variable overriding the configured output directory.
 OUTPUT_ENV_VAR = "CQED_SCOPE_OUT"
 
-_SCHEMA: dict[str, set[str]] = {
+#: Every accepted key, by section, with the type its value converts to.
+_KEYS: dict[str, dict[str, type]] = {
     "system": {
-        "qd_wavelength_nm",
-        "cavity_wavelength_nm",
-        "g_ghz",
-        "kappa_ghz",
-        "gamma_ghz",
-        "gamma_d_ghz",
+        "qd_wavelength_nm": float,
+        "cavity_wavelength_nm": float,
+        "g_ghz": float,
+        "kappa_ghz": float,
+        "gamma_ghz": float,
+        "gamma_d_ghz": float,
     },
     "drive": {
-        "target",
-        "rabi_ghz",
-        "power_uw",
-        "alpha_per_uw",
-        "power_min_uw",
-        "power_max_uw",
-        "power_points",
-        "power_scale",
+        "target": str,
+        "rabi_ghz": float,
+        "power_uw": float,
+        "alpha_per_uw": float,
+        "power_min_uw": float,
+        "power_max_uw": float,
+        "power_points": int,
+        "power_scale": str,
     },
     "numerics": {
-        "fock_cutoff",
-        "scan_points",
-        "scan_span_fwhm",
-        "seed",
-        "noise_relative",
-        "workers",
-        "steady_residual_tol",
+        "fock_cutoff": int,
+        "scan_points": int,
+        "scan_span_fwhm": float,
+        "seed": int,
+        "noise_relative": float,
+        "workers": int,
+        "steady_residual_tol": float,
     },
-    "channels": {"transfer_qd_to_cavity_ghz", "transfer_cavity_to_qd_ghz"},
-    "output": {"directory", "stem"},
+    "channels": {"transfer_qd_to_cavity_ghz": float, "transfer_cavity_to_qd_ghz": float},
+    "output": {"directory": str, "stem": str},
     "reproduce": {
-        "label",
-        "delta_omega_c_ghz",
-        "delta_omega_0_ghz",
-        "reference_theory_ghz",
-        "i_sat_counts",
-        "intrinsic_fwhm_ghz",
-        "excess_slope_ghz_per_uw",
+        "label": str,
+        "delta_omega_c_ghz": float,
+        "delta_omega_0_ghz": float,
+        "reference_theory_ghz": float,
+        "i_sat_counts": float,
+        "intrinsic_fwhm_ghz": float,
+        "excess_slope_ghz_per_uw": float,
     },
 }
 
 _REQUIRED = {
     "system": {"qd_wavelength_nm", "cavity_wavelength_nm", "g_ghz", "kappa_ghz", "gamma_ghz"},
     "drive": {"target"},
+}
+
+#: Ranges of single numbers, each excluding NaN and inf; other numbers need only be finite.
+_BOUNDS = {
+    "fock_cutoff": (lambda v: v >= 1, "must be >= 1"),
+    "scan_points": (lambda v: v >= 5, "must be >= 5"),
+    "scan_span_fwhm": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
+    "noise_relative": (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]"),
+    "workers": (lambda v: v >= 1, "must be >= 1"),
+    "steady_residual_tol": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+    "i_sat_counts": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
 }
 
 
@@ -146,24 +160,17 @@ class RunConfig:
         return Path(override) if override else Path(self.output_directory)
 
 
-def _get_float(section: configparser.SectionProxy, key: str, source: str) -> float:
+def _convert(key: str, text: str, kind: type, source: str) -> float | int | str:
+    if kind is str:
+        return text.strip()
     try:
-        return float(section[key])
+        value = kind(text)
     except ValueError as exc:
-        raise ConfigError(f"{source}: key {key!r} is not a number: {section[key]!r}") from exc
-
-
-def _get_int(section: configparser.SectionProxy, key: str, source: str) -> int:
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{source}: key {key!r} is not an integer: {section[key]!r}") from exc
-
-
-def _get_positive(section: configparser.SectionProxy, key: str, source: str) -> float:
-    value = _get_float(section, key, source)
-    if not (np.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{source}: {key} must be finite and > 0")
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{source}: key {key!r} is not {noun}: {text!r}") from exc
+    within, rule = _BOUNDS.get(key, (math.isfinite, "must be finite"))
+    if not within(value):
+        raise ConfigError(f"{source}: {key} {rule}")
     return value
 
 
@@ -184,9 +191,9 @@ def parse_config(path: str | Path) -> RunConfig:
 
     source = str(path)
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"{source}: unknown section [{section}]")
-        unknown = set(parser[section]) - _SCHEMA[section]
+        unknown = set(parser[section]) - set(_KEYS[section])
         if unknown:
             raise ConfigError(
                 f"{source}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
@@ -200,134 +207,66 @@ def parse_config(path: str | Path) -> RunConfig:
                 f"{source}: missing key(s) in [{section}]: {', '.join(sorted(missing))}"
             )
 
-    sys_sec = parser["system"]
+    values = {
+        section: {
+            key: _convert(key, text, _KEYS[section][key], source)
+            for key, text in parser[section].items()
+        }
+        for section in parser.sections()
+    }
+    drive = values["drive"]
     try:
-        system = SystemParams.from_ghz_and_nm(
-            g_ghz=_get_float(sys_sec, "g_ghz", source),
-            kappa_ghz=_get_float(sys_sec, "kappa_ghz", source),
-            gamma_ghz=_get_float(sys_sec, "gamma_ghz", source),
-            gamma_d_ghz=_get_float(sys_sec, "gamma_d_ghz", source)
-            if "gamma_d_ghz" in sys_sec
-            else 0.0,
-            qd_wavelength_nm=_get_float(sys_sec, "qd_wavelength_nm", source),
-            cavity_wavelength_nm=_get_float(sys_sec, "cavity_wavelength_nm", source),
-        )
+        system = SystemParams.from_ghz_and_nm(**values["system"])
     except ValueError as exc:
         raise ConfigError(f"{source}: invalid [system]: {exc}") from exc
 
-    drv = parser["drive"]
-    target_text = drv["target"].strip().lower()
+    target_text = drive["target"].lower()
     try:
         target = DriveTarget(target_text)
     except ValueError as exc:
         raise ConfigError(f"{source}: drive target must be 'qd' or 'cavity', got {target_text!r}") from exc
-    rabi_ghz = _get_float(drv, "rabi_ghz", source) if "rabi_ghz" in drv else None
-    power_uw = _get_float(drv, "power_uw", source) if "power_uw" in drv else None
-    alpha = _get_float(drv, "alpha_per_uw", source) if "alpha_per_uw" in drv else None
-    if rabi_ghz is not None and (power_uw is not None or alpha is not None):
+    if "rabi_ghz" in drive and ("power_uw" in drive or "alpha_per_uw" in drive):
         raise ConfigError(f"{source}: give either rabi_ghz or power_uw/alpha_per_uw, not both")
-    if rabi_ghz is None and alpha is None:
+    if "rabi_ghz" not in drive and "alpha_per_uw" not in drive:
         raise ConfigError(f"{source}: drive needs rabi_ghz or alpha_per_uw")
 
     power_grid = None
-    grid_keys = {"power_min_uw", "power_max_uw", "power_points"} & set(drv)
+    grid_keys = {"power_min_uw", "power_max_uw", "power_points"} & set(drive)
     if grid_keys:
         if grid_keys != {"power_min_uw", "power_max_uw", "power_points"}:
             raise ConfigError(f"{source}: power grid needs min, max and point count together")
-        scale = drv.get("power_scale", "log").strip().lower()
+        scale = drive.get("power_scale", "log").lower()
         if scale not in ("log", "linear"):
             raise ConfigError(f"{source}: power_scale must be 'log' or 'linear'")
-        lo = _get_float(drv, "power_min_uw", source)
-        hi = _get_float(drv, "power_max_uw", source)
-        count = _get_int(drv, "power_points", source)
+        lo, hi, count = drive["power_min_uw"], drive["power_max_uw"], drive["power_points"]
         if not (0.0 <= lo < hi) or count < 5:
             raise ConfigError(f"{source}: power grid must satisfy 0 <= min < max, points >= 5")
         if scale == "log" and lo <= 0.0:
             raise ConfigError(f"{source}: log-spaced power grids need power_min_uw > 0")
         power_grid = (lo, hi, count, scale)
-    elif "power_scale" in drv:
+    elif "power_scale" in drive:
         raise ConfigError(f"{source}: power_scale given without a power grid")
 
-    channels = IncoherentChannels()
-    if "channels" in parser:
-        ch = parser["channels"]
-        try:
-            channels = IncoherentChannels(
-                transfer_qd_to_cavity=ghz_to_angular(
-                    _get_float(ch, "transfer_qd_to_cavity_ghz", source)
-                )
-                if "transfer_qd_to_cavity_ghz" in ch
-                else 0.0,
-                transfer_cavity_to_qd=ghz_to_angular(
-                    _get_float(ch, "transfer_cavity_to_qd_ghz", source)
-                )
-                if "transfer_cavity_to_qd_ghz" in ch
-                else 0.0,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: invalid [channels]: {exc}") from exc
-
-    kwargs: dict = {}
-    if "numerics" in parser:
-        num = parser["numerics"]
-        if "fock_cutoff" in num:
-            kwargs["fock_cutoff"] = _get_int(num, "fock_cutoff", source)
-            if kwargs["fock_cutoff"] < 1:
-                raise ConfigError(f"{source}: fock_cutoff must be >= 1")
-        if "scan_points" in num:
-            kwargs["scan_points"] = _get_int(num, "scan_points", source)
-            if kwargs["scan_points"] < 5:
-                raise ConfigError(f"{source}: scan_points must be >= 5")
-        if "scan_span_fwhm" in num:
-            kwargs["scan_span_fwhm"] = _get_positive(num, "scan_span_fwhm", source)
-        if "seed" in num:
-            kwargs["seed"] = _get_int(num, "seed", source)
-            if kwargs["seed"] < 0:
-                raise ConfigError(f"{source}: seed must be >= 0")
-        if "noise_relative" in num:
-            kwargs["noise_relative"] = _get_float(num, "noise_relative", source)
-            if not 0.0 <= kwargs["noise_relative"] <= 0.5:
-                raise ConfigError(f"{source}: noise_relative must lie in [0, 0.5]")
-        # Accepted for compatibility and validated, but scans run serially.
-        if "workers" in num and _get_int(num, "workers", source) < 1:
-            raise ConfigError(f"{source}: workers must be >= 1")
-        if "steady_residual_tol" in num:
-            kwargs["steady_residual_tol"] = _get_positive(num, "steady_residual_tol", source)
-
-    if "output" in parser:
-        out = parser["output"]
-        if "directory" in out:
-            kwargs["output_directory"] = out["directory"].strip()
-        if "stem" in out:
-            kwargs["output_stem"] = out["stem"].strip()
-
-    reproduce = None
-    if "reproduce" in parser:
-        rep = parser["reproduce"]
-
-        def opt(key: str) -> float | None:
-            return _get_float(rep, key, source) if key in rep else None
-
-        i_sat = _get_positive(rep, "i_sat_counts", source) if "i_sat_counts" in rep else 1000.0
-        reproduce = ReproduceParams(
-            label=rep.get("label", "").strip(),
-            delta_omega_c_ghz=opt("delta_omega_c_ghz"),
-            delta_omega_0_ghz=opt("delta_omega_0_ghz"),
-            reference_theory_ghz=opt("reference_theory_ghz"),
-            i_sat_counts=i_sat,
-            intrinsic_fwhm_ghz=opt("intrinsic_fwhm_ghz"),
-            excess_slope_ghz_per_uw=opt("excess_slope_ghz_per_uw"),
+    rates = values.get("channels", {})
+    try:
+        channels = IncoherentChannels(
+            **{key.removesuffix("_ghz"): ghz_to_angular(rate) for key, rate in rates.items()}
         )
+    except ValueError as exc:
+        raise ConfigError(f"{source}: invalid [channels]: {exc}") from exc
 
+    # workers is accepted and range-checked for older configs, but scans run serially.
+    numerics = {key: value for key, value in values.get("numerics", {}).items() if key != "workers"}
     return RunConfig(
         system=system,
         channels=channels,
         drive_target=target,
-        rabi_ghz=rabi_ghz,
-        power_uw=power_uw,
-        alpha_per_uw=alpha,
+        rabi_ghz=drive.get("rabi_ghz"),
+        power_uw=drive.get("power_uw"),
+        alpha_per_uw=drive.get("alpha_per_uw"),
         power_grid=power_grid,
-        reproduce=reproduce,
+        reproduce=ReproduceParams(**values["reproduce"]) if "reproduce" in values else None,
         source=source,
-        **kwargs,
+        **numerics,
+        **{f"output_{key}": value for key, value in values.get("output", {}).items()},
     )

@@ -55,6 +55,11 @@ def angular_frequency_to_wavelength(omega: float) -> float:
     return TWO_PI * SPEED_OF_LIGHT_NM_GHZ / omega
 
 
+def fwhm_nm_to_ghz(fwhm_nm: float, centre_nm: float) -> float:
+    """Linewidth in nm at ``centre_nm`` -> ordinary-frequency linewidth in GHz."""
+    return fwhm_nm * SPEED_OF_LIGHT_NM_GHZ / centre_nm**2
+
+
 def detuning_from_wavelengths(qd_wavelength_nm: float, cavity_wavelength_nm: float) -> float:
     """Emitter-cavity detuning ``omega_qd - omega_cavity`` in rad/ns.
 
@@ -115,9 +120,9 @@ class SystemParams:
         g_ghz: float,
         kappa_ghz: float,
         gamma_ghz: float,
-        gamma_d_ghz: float,
         qd_wavelength_nm: float,
         cavity_wavelength_nm: float,
+        gamma_d_ghz: float = 0.0,
     ) -> "SystemParams":
         """Build from boundary units: rates in GHz, resonances in nm."""
         return cls(
@@ -169,8 +174,10 @@ class DriveSpec:
                 raise ValueError("power must be >= 0")
             if not self.alpha > 0.0:
                 raise ValueError("alpha must be > 0")
-        if not math.isfinite(self.omega_l):
-            raise ValueError("omega_l must be finite")
+        for name in ("omega_l", "omega_rabi", "power", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
     def p_tilde(self, params: SystemParams) -> float:
         """Dimensionless saturation parameter of this drive.
@@ -208,3 +215,6 @@ class IncoherentChannels:
     def __post_init__(self) -> None:
         if self.transfer_qd_to_cavity < 0.0 or self.transfer_cavity_to_qd < 0.0:
             raise ValueError("transfer rates must be >= 0")
+        for name in ("transfer_qd_to_cavity", "transfer_cavity_to_qd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")

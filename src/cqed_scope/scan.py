@@ -35,6 +35,7 @@ from .model import (
     SystemParams,
     TWO_PI,
     angular_frequency_to_wavelength,
+    fwhm_nm_to_ghz,
     wavelength_to_angular_frequency,
 )
 
@@ -250,7 +251,7 @@ def power_sweep(
             raise ScanError(f"linewidth fit failed at {power} uW: {exc}") from exc
         if not lor.converged:
             raise ScanError(f"linewidth fit did not converge at {power} uW: {lor.message}")
-        fitted_fwhm_ghz.append(lor.params["fwhm"] * SPEED_OF_LIGHT_NM_GHZ / lor.params["center"]**2)
+        fitted_fwhm_ghz.append(fwhm_nm_to_ghz(lor.params["fwhm"], lor.params["center"]))
         intensities.append(float(dataset.y[grid.size // 2]))
 
     meta = {

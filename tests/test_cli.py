@@ -141,6 +141,36 @@ class TestExitCodes:
         assert rc == 3
         assert "residual" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, key, edits",
+        [
+            ("analytic", "power_max_uw", [("power_max_uw = 8.0", "power_max_uw = inf")]),
+            (
+                "scan",
+                "power_uw",
+                [("target = qd", "target = cavity"), ("power_uw = 0.2", "power_uw = nan")],
+            ),
+            (
+                "scan",
+                "transfer_qd_to_cavity_ghz",
+                [("[output]", "[channels]\ntransfer_qd_to_cavity_ghz = inf\n\n[output]")],
+            ),
+        ],
+        ids=["analytic-power_max_uw", "scan-power_uw", "scan-transfer_qd_to_cavity_ghz"],
+    )
+    def test_nonfinite_number_exits_2_naming_the_key(self, tmp_path, capsys, command, key, edits):
+        text = (CONFIG_DIR / "example.ini").read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = write_ini(tmp_path, text)
+        argv = [command, "--config", str(path)]
+        if command == "scan":
+            argv += ["--out", str(tmp_path / "s.csv")]
+        rc, report, captured = run_cli(capsys, argv)
+        assert rc == 2
+        assert f"{path}: {key} must be finite" in captured.err
+        assert report == {}
+
     def test_reproduce_missing_configs_enumerated(self, tmp_path, capsys):
         rc, _, captured = run_cli(
             capsys, ["reproduce", "--table", "table1", "--config-dir", str(tmp_path)]

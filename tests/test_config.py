@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqed_scope.config import OUTPUT_ENV_VAR, parse_config
+from cqed_scope.config import OUTPUT_ENV_VAR, _KEYS, parse_config
 from cqed_scope.errors import ConfigError
 from cqed_scope.model import (
     DriveTarget,
@@ -148,6 +148,12 @@ class TestDefaults:
     def test_target_value_case_insensitive(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE.replace("target = qd", "target = QD")))
         assert cfg.drive_target is DriveTarget.QD
+
+    def test_text_value_on_a_continuation_line_is_stripped(self, tmp_path):
+        text = BASE.replace("target = qd", "target =\n    cavity") + "\n[output]\nstem =\n    run\n"
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg.drive_target is DriveTarget.CAVITY
+        assert cfg.output_stem == "run"
 
 
 class TestRejections:
@@ -335,3 +341,100 @@ class TestDriveTemplateVariants:
         cfg = parse_config(write_config(tmp_path, text))
         assert cfg.channels.transfer_qd_to_cavity == ghz_to_angular(0.3)
         assert cfg.channels.transfer_cavity_to_qd == 0.0
+
+
+MINIMAL = {
+    "system": {
+        "qd_wavelength_nm": "931.0",
+        "cavity_wavelength_nm": "930.8",
+        "g_ghz": "10.0",
+        "kappa_ghz": "20.0",
+        "gamma_ghz": "0.5",
+    },
+    "drive": {"target": "qd", "rabi_ghz": "1.0"},
+}
+POWER_STYLE = {"drive": {"rabi_ghz": None, "alpha_per_uw": "0.5"}}
+POWER_GRID = {
+    "drive": {
+        "rabi_ghz": None,
+        "alpha_per_uw": "0.5",
+        "power_min_uw": "0.05",
+        "power_max_uw": "8.0",
+        "power_points": "12",
+    }
+}
+REPRODUCE = {"reproduce": {"label": "S"}}
+
+#: key -> (companions the key needs, a valid setting of it); the setting is
+#: applied on top of the companions, and a value of None removes a key.
+KEY_CASES = {
+    "qd_wavelength_nm": ({}, {"system": {"qd_wavelength_nm": "931.1"}}),
+    "cavity_wavelength_nm": ({}, {"system": {"cavity_wavelength_nm": "930.7"}}),
+    "g_ghz": ({}, {"system": {"g_ghz": "12.0"}}),
+    "kappa_ghz": ({}, {"system": {"kappa_ghz": "18.0"}}),
+    "gamma_ghz": ({}, {"system": {"gamma_ghz": "0.4"}}),
+    "gamma_d_ghz": ({}, {"system": {"gamma_d_ghz": "1.5"}}),
+    "target": ({}, {"drive": {"target": "cavity"}}),
+    "rabi_ghz": ({}, {"drive": {"rabi_ghz": "2.0"}}),
+    "alpha_per_uw": (POWER_STYLE, {"drive": {"alpha_per_uw": "0.7"}}),
+    "power_uw": (POWER_STYLE, {"drive": {"power_uw": "0.2"}}),
+    "power_min_uw": (POWER_GRID, {"drive": {"power_min_uw": "0.1"}}),
+    "power_max_uw": (POWER_GRID, {"drive": {"power_max_uw": "5.0"}}),
+    "power_points": (POWER_GRID, {"drive": {"power_points": "7"}}),
+    "power_scale": (POWER_GRID, {"drive": {"power_scale": "linear"}}),
+    "fock_cutoff": ({}, {"numerics": {"fock_cutoff": "6"}}),
+    "scan_points": ({}, {"numerics": {"scan_points": "101"}}),
+    "scan_span_fwhm": ({}, {"numerics": {"scan_span_fwhm": "8.0"}}),
+    "seed": ({}, {"numerics": {"seed": "3"}}),
+    "noise_relative": ({}, {"numerics": {"noise_relative": "0.1"}}),
+    "workers": ({}, {"numerics": {"workers": "2"}}),
+    "steady_residual_tol": ({}, {"numerics": {"steady_residual_tol": "1e-8"}}),
+    "transfer_qd_to_cavity_ghz": ({}, {"channels": {"transfer_qd_to_cavity_ghz": "0.3"}}),
+    "transfer_cavity_to_qd_ghz": ({}, {"channels": {"transfer_cavity_to_qd_ghz": "0.3"}}),
+    "directory": ({}, {"output": {"directory": "elsewhere"}}),
+    "stem": ({}, {"output": {"stem": "other"}}),
+    "label": (REPRODUCE, {"reproduce": {"label": "T"}}),
+    "delta_omega_c_ghz": (REPRODUCE, {"reproduce": {"delta_omega_c_ghz": "12.6"}}),
+    "delta_omega_0_ghz": (REPRODUCE, {"reproduce": {"delta_omega_0_ghz": "1.96"}}),
+    "reference_theory_ghz": (REPRODUCE, {"reproduce": {"reference_theory_ghz": "1.3"}}),
+    "i_sat_counts": (REPRODUCE, {"reproduce": {"i_sat_counts": "2.5"}}),
+    "intrinsic_fwhm_ghz": (REPRODUCE, {"reproduce": {"intrinsic_fwhm_ghz": "35.6"}}),
+    "excess_slope_ghz_per_uw": (REPRODUCE, {"reproduce": {"excess_slope_ghz_per_uw": "0.5"}}),
+}
+
+#: Accepted keys that change nothing: scans run serially whatever workers says.
+IGNORED_KEYS = {"workers"}
+
+
+def _render(*layers):
+    sections: dict[str, dict[str, str]] = {}
+    for layer in layers:
+        for name, keys in layer.items():
+            for key, value in keys.items():
+                section = sections.setdefault(name, {})
+                if value is None:
+                    section.pop(key, None)
+                else:
+                    section[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CASES))
+def test_every_accepted_key_takes_effect(tmp_path, key):
+    companions, setting = KEY_CASES[key]
+    without = parse_config(write_config(tmp_path, _render(MINIMAL, companions), "without.ini"))
+    with_key = parse_config(
+        write_config(tmp_path, _render(MINIMAL, companions, setting), "with.ini")
+    )
+    assert key in setting[next(iter(setting))]
+    if key in IGNORED_KEYS:
+        assert replace(with_key, source="") == replace(without, source="")
+    else:
+        assert replace(with_key, source="") != replace(without, source="")
+
+
+def test_key_cases_cover_the_key_table():
+    assert set(KEY_CASES) == {key for keys in _KEYS.values() for key in keys}

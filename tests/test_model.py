@@ -16,6 +16,7 @@ from cqed_scope.model import (
     angular_frequency_to_wavelength,
     angular_to_ghz,
     detuning_from_wavelengths,
+    fwhm_nm_to_ghz,
     ghz_to_angular,
     wavelength_to_angular_frequency,
 )
@@ -63,6 +64,11 @@ class TestWavelengthConversions:
     def test_nonpositive_frequency_rejected(self, bad):
         with pytest.raises(ValueError):
             angular_frequency_to_wavelength(bad)
+
+    def test_narrow_linewidth_matches_the_frequency_difference_of_its_edges(self):
+        c, centre_nm, fwhm_nm = SPEED_OF_LIGHT_NM_GHZ, 930.8, 0.01
+        edges_ghz = c / (centre_nm - fwhm_nm / 2) - c / (centre_nm + fwhm_nm / 2)
+        assert fwhm_nm_to_ghz(fwhm_nm, centre_nm) == pytest.approx(edges_ghz, rel=1e-9)
 
 
 class TestDetuningFromWavelengths:
@@ -210,6 +216,20 @@ class TestDriveSpec:
         with pytest.raises(ValueError):
             DriveSpec(target=DriveTarget.QD, omega_l=math.nan, omega_rabi=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"omega_rabi": math.nan}, "omega_rabi"),
+            ({"omega_rabi": math.inf}, "omega_rabi"),
+            ({"power": math.inf, "alpha": 0.5}, "power"),
+            ({"power": math.nan, "alpha": 0.5}, "power"),
+            ({"power": 1.0, "alpha": math.inf}, "alpha"),
+        ],
+    )
+    def test_nonfinite_strengths_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DriveSpec(target=DriveTarget.QD, omega_l=1.0, **kwargs)
+
     def test_with_laser_frequency_replaces_only_the_laser(self):
         drive = DriveSpec(target=DriveTarget.CAVITY, omega_l=1.0, power=2.0, alpha=0.5)
         moved = drive.with_laser_frequency(7.0)
@@ -242,4 +262,16 @@ class TestIncoherentChannels:
     )
     def test_negative_rates_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            IncoherentChannels(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"transfer_qd_to_cavity": math.nan},
+            {"transfer_qd_to_cavity": math.inf},
+            {"transfer_cavity_to_qd": math.inf},
+        ],
+    )
+    def test_nonfinite_rates_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
             IncoherentChannels(**kwargs)
