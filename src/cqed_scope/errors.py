@@ -17,7 +17,15 @@ class ConfigError(CqedScopeError):
 
 
 class NumericalError(CqedScopeError, RuntimeError):
-    """A computation started but could not be completed reliably."""
+    """A computation started but could not be completed reliably.
+
+    ``index`` locates the failure within a batch of like computations (a stack of
+    steady-state solves, the points of a scan); it is ``None`` for a single one.
+    """
+
+    def __init__(self, *args: object, index: int | None = None) -> None:
+        super().__init__(*args)
+        self.index = index
 
 
 class NonUniqueSteadyStateError(NumericalError):

@@ -4,7 +4,9 @@ The space is a two-level system tensored with a Fock ladder truncated at
 ``n_max`` photons, dimension ``2 * (n_max + 1)``.  The two-level index is the
 slow (leftmost) tensor factor: basis state ``|qd, n>`` sits at flat index
 ``qd * (n_max + 1) + n`` with ``qd = 0`` the ground state.  Everything is a
-dense complex128 ndarray; no sparse formats.
+dense complex128 ndarray; no sparse formats.  The density-matrix validator
+takes one matrix or a stack of them, so a batch of steady states is checked
+in one pass.
 """
 
 from __future__ import annotations
@@ -77,17 +79,34 @@ def validate_density_matrix(rho: np.ndarray, context: str = "density matrix") ->
     """Check Hermiticity, unit trace and positivity; raise ``ValueError`` if violated.
 
     Hermiticity and trace are enforced to 1e-10; eigenvalues may undershoot
-    zero by at most 1e-8 to allow for round-off.
+    zero by at most 1e-8 to allow for round-off.  ``rho`` is one matrix or a
+    ``(k, d, d)`` stack of them; a stack is checked in one batched pass and the
+    error describes its first failing slice, whose position it carries as ``index``.
     """
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{context}: not a square matrix, shape {rho.shape}")
-    scale = max(1.0, float(np.linalg.norm(rho)))
-    herm = float(np.linalg.norm(rho - rho.conj().T))
-    if herm > HERMITICITY_TOL * scale:
-        raise ValueError(f"{context}: not Hermitian (defect {herm:.3e})")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{context}: trace {tr!r} differs from 1 beyond tolerance")
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if float(eigs.min()) < -POSITIVITY_SLACK:
-        raise ValueError(f"{context}: negative eigenvalue {eigs.min():.3e}")
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    adjoint = stack.conj().swapaxes(1, 2)
+    scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+    herm = np.linalg.norm(stack - adjoint, axis=(1, 2))
+    traces = np.trace(stack, axis1=1, axis2=2)
+    lowest = np.linalg.eigvalsh(0.5 * (stack + adjoint)).min(axis=1)
+    defects = (
+        herm > HERMITICITY_TOL * scale,
+        np.abs(traces - 1.0) > TRACE_TOL,
+        lowest < -POSITIVITY_SLACK,
+    )
+    failing = np.flatnonzero(np.logical_or.reduce(defects))
+    if failing.size == 0:
+        return
+    j = int(failing[0])
+    if defects[0][j]:
+        message = f"not Hermitian (defect {herm[j]:.3e})"
+    elif defects[1][j]:
+        message = f"trace {complex(traces[j])!r} differs from 1 beyond tolerance"
+    else:
+        message = f"negative eigenvalue {lowest[j]:.3e}"
+    error = ValueError(f"{context}: {message}")
+    if rho.ndim == 3:
+        error.index = j
+    raise error

@@ -14,6 +14,11 @@ The Hamiltonian is written in the frame rotating at the laser frequency, so
 only detunings from the laser appear.  The generator is a plain complex
 ``dim**2 x dim**2`` array acting on the row-major flattening of rho:
 ``vec(A rho B) = (A kron B^T) vec(rho)``.
+
+Steady states come from one routine, :func:`solve_stack`, which solves a stack of
+generators with one batched LU and checks every guard across the stack.  A laser scan
+assembles its generator once and solves the grid in stacks of shifted copies
+(:func:`laser_scan_steady_states`); :func:`steady_state` is a one-slice call.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ STEADY_RESIDUAL_TOL = 1e-9
 
 #: Relative change in occupations under a cutoff increase that counts as converged.
 TRUNCATION_RTOL = 1e-8
+
+#: Scratch bytes for one stack of scan generators: 16 points at cutoff 3, one from cutoff 6 up.
+STACK_BYTES = 1 << 20
 
 
 def _ladder(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,31 +130,6 @@ def build_liouvillian(
     return assemble_liouvillian(hamiltonian, terms)
 
 
-def laser_scan_liouvillians(
-    params: SystemParams,
-    drive: DriveSpec,
-    n_max: int,
-    channels: IncoherentChannels | None,
-    laser_omegas: list[float],
-) -> Iterator[np.ndarray]:
-    """Generators at each laser frequency, assembled once at the middle one.
-
-    In the laser frame ``omega_l`` enters only as ``-omega_l N`` with the diagonal ``N =
-    sigma^+ sigma + a^+ a``, built here as in the Hamiltonian; moving the laser by ``d`` adds
-    ``d * i (N_ii - N_jj)`` to the entry for ``rho_ij``.  A nearby reference keeps digits.
-    """
-    omega_ref = laser_omegas[len(laser_omegas) // 2]
-    ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
-    reference = build_liouvillian(ham, params, channels)
-    sm, a = _ladder(n_max)
-    number = np.diag(dagger(sm) @ sm + dagger(a) @ a).real
-    shift = 1j * np.subtract.outer(number, number).ravel()
-    for omega in laser_omegas:
-        matrix = reference.copy()
-        matrix[np.diag_indices_from(matrix)] += (omega - omega_ref) * shift
-        yield matrix
-
-
 @dataclass(frozen=True, eq=False)
 class SteadyState:
     """Solution of ``L rho = 0`` with unit trace."""
@@ -156,60 +139,186 @@ class SteadyState:
     observables: dict[str, float | complex]
 
 
-def _observables(rho: np.ndarray) -> dict[str, float | complex]:
-    sm, a = _ladder(rho.shape[0] // 2 - 1)
+def _readout(n_max: int) -> np.ndarray:
+    """The read-out operators ``a^+a, sigma^+sigma, a, sigma`` as a ``(4, dim, dim)`` stack."""
+    sm, a = _ladder(n_max)
+    return np.stack([dagger(a) @ a, dagger(sm) @ sm, a, sm])
+
+
+def _read(rhos: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """Expectations ``tr(O rho)``, ``(k, 4)``, of a stack of states.
+
+    Each trace is of one ``O @ rho`` product, so a state reads the same bits in
+    whichever stack it sits.
+    """
+    return np.trace(readout[:, None] @ rhos, axis1=2, axis2=3).T
+
+
+def _observables(reading: np.ndarray) -> dict[str, float | complex]:
     return {
-        "n_cavity": float(np.trace(dagger(a) @ a @ rho).real),
-        "n_qd": float(np.trace(dagger(sm) @ sm @ rho).real),
-        "a": complex(np.trace(a @ rho)),
-        "sigma": complex(np.trace(sm @ rho)),
+        "n_cavity": float(reading[0].real),
+        "n_qd": float(reading[1].real),
+        "a": complex(reading[2]),
+        "sigma": complex(reading[3]),
     }
 
 
-def steady_state(liouvillian: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
-    """Unique steady state via a trace-normalised linear solve.
+def solve_stack(
+    stack: np.ndarray, norms: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-trace steady states ``(rhos, residuals)`` of a ``(k, dim**2, dim**2)`` generator stack.
 
-    The equation for the (0, 0) matrix element is replaced by the trace
-    constraint ``sum_i rho_ii = 1``; the resulting dense system is solved
-    directly.  Degenerate steady manifolds surface as a singular system (or
-    an unacceptable residual) and raise
-    :class:`~cqed_scope.errors.NonUniqueSteadyStateError`.
+    The stack is scratch: in each slice the equation for the (0, 0) matrix element is
+    overwritten by the trace constraint ``sum_i rho_ii = 1`` and all slices go through one
+    batched dense solve.  The guards then run over the whole stack: Hermiticity and unit trace
+    (a degenerate steady manifold, also signalled by a singular system, raises
+    :class:`~cqed_scope.errors.NonUniqueSteadyStateError`), the residual
+    ``||L rho|| <= residual_tol * max(1, norms)`` with ``norms`` the generators' Frobenius norms,
+    and positivity.  An error describes the first failing slice and carries its position as
+    ``index``.
     """
-    dim = math.isqrt(liouvillian.shape[0])
-    a_mat = liouvillian.copy()
-    rhs = np.zeros(dim * dim, dtype=np.complex128)
+    k, size, _ = stack.shape
+    dim = math.isqrt(size)
     # Row-major flattening puts element (0, 0) in row 0 and the diagonal at i*dim+i.
-    a_mat[0, :] = 0.0
-    a_mat[0, :: dim + 1] = 1.0
-    rhs[0] = 1.0
+    row0 = stack[:, 0, :].copy()
+    stack[:, 0, :] = 0.0
+    stack[:, 0, :: dim + 1] = 1.0
+    rhs = np.zeros((k, size, 1), dtype=np.complex128)
+    rhs[:, 0] = 1.0
     try:
-        vec = np.linalg.solve(a_mat, rhs)
+        vecs = np.linalg.solve(stack, rhs)
     except np.linalg.LinAlgError as exc:
+        # A zero pivot in the same LU is what made the solve fail.
+        singular = np.linalg.slogdet(stack)[0] == 0
         raise NonUniqueSteadyStateError(
-            "steady-state system is singular; the generator has a degenerate kernel"
+            "steady-state system is singular; the generator has a degenerate kernel",
+            index=int(np.argmax(singular)),
         ) from exc
 
-    rho = vec.reshape(dim, dim)
-    scale = max(1.0, float(np.linalg.norm(rho)))
-    if float(np.linalg.norm(rho - rho.conj().T)) > 1e-8 * scale:
-        raise NonUniqueSteadyStateError("steady-state solution is not Hermitian")
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = float(np.trace(rho).real)
-    if not math.isfinite(trace) or abs(trace - 1.0) > 1e-6:
-        raise NonUniqueSteadyStateError(f"steady-state trace {trace} deviates from 1")
-    rho = rho / trace
+    rhos = vecs.reshape(k, dim, dim)
+    adjoint = rhos.conj().transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.linalg.norm(rhos, axis=(1, 2)))
+    asymmetric = np.linalg.norm(rhos - adjoint, axis=(1, 2)) > 1e-8 * scale
+    rhos = 0.5 * (rhos + adjoint)
+    traces = np.trace(rhos, axis1=1, axis2=2).real
+    off_trace = ~(np.abs(traces - 1.0) <= 1e-6)
+    rhos = rhos / np.where(off_trace, 1.0, traces)[:, None, None]
 
-    residual = float(np.linalg.norm(liouvillian @ rho.reshape(-1)))
-    if residual > residual_tol * max(1.0, float(np.linalg.norm(liouvillian))):
-        raise NumericalError(
-            f"steady-state residual {residual:.3e} exceeds tolerance; "
-            "the generator may be near-degenerate"
-        )
+    # Rows 1.. of the constrained system are the generator's own; row 0 was kept aside.
+    applied = np.matmul(stack, rhos.reshape(k, size, 1))[:, :, 0]
+    applied[:, 0] = np.einsum("kj,kj->k", row0, rhos.reshape(k, size))
+    residuals = np.linalg.norm(applied, axis=1)
+    loose = ~(residuals <= residual_tol * np.maximum(1.0, norms))
+
+    failing = np.flatnonzero(asymmetric | off_trace | loose)
+    valid = int(failing[0]) if failing.size else k
     try:
-        validate_density_matrix(rho, context="steady state")
+        validate_density_matrix(rhos[:valid], context="steady state")
     except ValueError as exc:
-        raise NumericalError(str(exc)) from exc
-    return SteadyState(rho=rho, residual=residual, observables=_observables(rho))
+        raise NumericalError(str(exc), index=exc.index) from exc
+    if valid < k:
+        j = valid
+        if asymmetric[j]:
+            raise NonUniqueSteadyStateError("steady-state solution is not Hermitian", index=j)
+        if off_trace[j]:
+            raise NonUniqueSteadyStateError(
+                f"steady-state trace {traces[j]} deviates from 1", index=j
+            )
+        raise NumericalError(
+            f"steady-state residual {residuals[j]:.3e} exceeds tolerance; "
+            "the generator may be near-degenerate",
+            index=j,
+        )
+    return rhos, residuals
+
+
+def steady_state(liouvillian: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
+    """Unique steady state of one generator: a one-slice :func:`solve_stack`.
+
+    Errors are those of :func:`solve_stack`; the generator itself is left untouched.
+    """
+    norm = np.array([np.linalg.norm(liouvillian)])
+    rhos, residuals = solve_stack(liouvillian[None].copy(), norm, residual_tol)
+    reading = _read(rhos, _readout(rhos.shape[1] // 2 - 1))[0]
+    return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=_observables(reading))
+
+
+def laser_scan_stacks(
+    params: SystemParams,
+    drive: DriveSpec,
+    n_max: int,
+    channels: IncoherentChannels | None,
+    laser_omegas: list[float],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Generators at each laser frequency, in order, as ``(stack, norms)`` pairs.
+
+    Each stack fills at most :data:`STACK_BYTES` (but holds at least one generator), and the
+    generator is assembled once, at the middle frequency.  In the laser frame ``omega_l``
+    enters only as ``-omega_l N`` with the diagonal ``N = sigma^+ sigma + a^+ a``, built here
+    as in the Hamiltonian; moving the laser by ``d`` adds ``d * S`` with ``S = i (N_ii - N_jj)``
+    on the diagonal entry for ``rho_ij``.  A nearby reference keeps digits, and the Frobenius
+    norms follow in closed form, ``||L0 + d S||**2 = ||L0||**2 + 2 d Re<diag L0, S> +
+    d**2 ||S||**2``.  One scratch buffer holds every stack, so a stack is valid only until the
+    next one is drawn.
+    """
+    omega_ref = laser_omegas[len(laser_omegas) // 2]
+    ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
+    reference = build_liouvillian(ham, params, channels)
+    sm, a = _ladder(n_max)
+    number = np.diag(dagger(sm) @ sm + dagger(a) @ a).real
+    shift = 1j * np.subtract.outer(number, number).ravel()
+    norm_sq = np.vdot(reference, reference).real
+    cross = 2.0 * np.vdot(reference.diagonal(), shift).real
+    shift_sq = np.vdot(shift, shift).real
+
+    offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
+    size = reference.shape[0]
+    per_stack = max(1, STACK_BYTES // reference.nbytes)
+    scratch = np.empty((min(per_stack, offsets.size), size, size), dtype=np.complex128)
+    diagonals = scratch.reshape(len(scratch), -1)[:, :: size + 1]
+    for start in range(0, offsets.size, per_stack):
+        steps = offsets[start : start + per_stack]
+        stack = scratch[: steps.size]
+        stack[...] = reference
+        diagonals[: steps.size] += steps[:, None] * shift
+        yield stack, np.sqrt(norm_sq + steps * cross + steps**2 * shift_sq)
+
+
+def laser_scan_steady_states(
+    params: SystemParams,
+    drive: DriveSpec,
+    n_max: int,
+    channels: IncoherentChannels | None,
+    laser_omegas: list[float],
+    residual_tol: float = STEADY_RESIDUAL_TOL,
+) -> tuple[np.ndarray, SteadyState]:
+    """Steady-state readout at each laser frequency and the middle point's full state.
+
+    Row ``j`` of the ``(len(laser_omegas), 4)`` readout holds ``<a^+a>, <sigma^+sigma>, <a>,
+    <sigma>`` at ``laser_omegas[j]``; the read-out operators are built once per scan.  The middle
+    state equals a fresh :func:`steady_state` at its frequency bit for bit.  A failing point
+    raises the error of :func:`solve_stack` with ``index`` its position in ``laser_omegas``.
+    """
+    readout = _readout(n_max)
+    middle = len(laser_omegas) // 2
+    readings = np.empty((len(laser_omegas), 4), dtype=np.complex128)
+    start = 0
+    for stack, norms in laser_scan_stacks(params, drive, n_max, channels, laser_omegas):
+        try:
+            rhos, residuals = solve_stack(stack, norms, residual_tol)
+        except NumericalError as exc:
+            exc.index += start
+            raise
+        readings[start : start + len(rhos)] = _read(rhos, readout)
+        if start <= middle < start + len(rhos):
+            j = middle - start
+            state = SteadyState(
+                rho=rhos[j],
+                residual=float(residuals[j]),
+                observables=_observables(readings[middle]),
+            )
+        start += len(rhos)
+    return readings, state
 
 
 @dataclass(frozen=True, eq=False)

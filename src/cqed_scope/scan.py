@@ -1,11 +1,11 @@
 """Spectral scans: emission versus laser wavelength and drive power.
 
-A scan point is one steady-state solve of the master equation with the
-laser at a given wavelength; the recorded signal is the photon flux of the
-observed decay channel, ``2*kappa*<a^+a>`` for cavity emission or
+A scan point is the steady state of the master equation with the laser at a
+given wavelength; the recorded signal is the photon flux of the observed
+decay channel, ``2*kappa*<a^+a>`` for cavity emission or
 ``2*gamma*<sigma^+sigma>`` for direct dot emission.  Only the laser
 frequency changes along a scan, so each scan assembles one Liouvillian and
-solves a copy of it shifted to every grid point.
+solves copies of it shifted to the grid points, a stack of them at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,11 @@ from .analytic import (
 from .dataset import ScanKind, SpectrumDataset
 from .errors import ConfigError, NumericalError, ScanError, TruncationError
 from .lindblad import (
-    STEADY_RESIDUAL_TOL, SteadyState, laser_scan_liouvillians, steady_state, truncation_change
+    STEADY_RESIDUAL_TOL,
+    SteadyState,
+    laser_scan_steady_states,
+    steady_state,  # noqa: F401  bench/spans.py traces standalone solves through this name too
+    truncation_change,
 )
 from .model import (
     DriveSpec,
@@ -57,27 +61,26 @@ def _emission(
     wavelengths_nm: np.ndarray,
     residual_tol: float,
 ) -> tuple[np.ndarray, SteadyState]:
-    """Emission signal at each wavelength, one solve per point, and the middle point's state.
+    """Emission signal at each wavelength and the middle point's steady state.
 
     The middle point is the unshifted reference; returning frees the generator before a check.
     """
     cavity = observe is EmissionChannel.CAVITY
-    rate, key = (params.kappa, "n_cavity") if cavity else (params.gamma, "n_qd")
+    rate, column = (params.kappa, 0) if cavity else (params.gamma, 1)
     omegas = [wavelength_to_angular_frequency(float(lam)) for lam in wavelengths_nm]
-    liouvillians = laser_scan_liouvillians(params, drive_template, n_max, channels, omegas)
-    values = []
-    for index, (lam, liouvillian) in enumerate(zip(wavelengths_nm, liouvillians)):
-        try:
-            ss = steady_state(liouvillian, residual_tol)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
-        value = 2.0 * rate * float(ss.observables[key])
-        if value < -1e-12:
-            raise ScanError(f"negative emission signal {value:.3e}")
-        values.append(max(value, 0.0))
-        if index == len(omegas) // 2:
-            middle = ss
-    return np.array(values), middle
+    try:
+        readings, middle = laser_scan_steady_states(
+            params, drive_template, n_max, channels, omegas, residual_tol
+        )
+    except NumericalError as exc:
+        lam = wavelengths_nm[exc.index]
+        raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
+    values = 2.0 * rate * readings[:, column].real
+    negative = np.flatnonzero(values < -1e-12)
+    if negative.size:
+        j = negative[0]
+        raise ScanError(f"negative emission signal {values[j]:.3e} at {wavelengths_nm[j]:.6f} nm")
+    return np.maximum(values, 0.0), middle
 
 
 def scan_laser(
@@ -213,11 +216,12 @@ def power_sweep(
     """Emulate a power series: one laser scan per drive power.
 
     For every power the laser is scanned across the driven branch over a
-    window of at least ``span_fwhm`` predicted linewidths and an odd number of
-    points (at least 201), so the branch centre is the middle point; its signal
-    goes into the saturation dataset and a Lorentzian fit of the scan yields the
-    linewidth dataset (GHz).  Powers run from the highest down, and only that
-    first scan checks the Fock cutoff, where it is most likely to fall short.
+    window of ``span_fwhm`` predicted linewidths with ``scan_points`` points, an
+    even count rounded up by one so that the branch centre is the middle point;
+    its signal goes into the saturation dataset and a Lorentzian fit of the scan
+    yields the linewidth dataset (GHz).  Powers run from the highest down, and
+    only that first scan checks the Fock cutoff, where it is most likely to fall
+    short.
     """
     if drive_template.alpha is None:
         raise ValueError("power sweeps need a power-style drive template (alpha set)")
@@ -228,8 +232,7 @@ def power_sweep(
         raise ValueError("power grid must be strictly increasing")
     if float(powers[0]) < 0.0:
         raise ValueError("powers must be >= 0")
-    scan_points = max(int(scan_points), 201) | 1
-    span_fwhm = max(float(span_fwhm), 6.0)
+    scan_points = int(scan_points) | 1
 
     centre = _scan_centre(params, drive_template)
 

@@ -511,6 +511,29 @@ workers = 2
         assert outputs[0] == outputs[1]
 
 
+    @pytest.mark.parametrize(
+        "setting", ["scan_points = 201", "scan_points = 101", "scan_span_fwhm = 3.0"]
+    )
+    def test_sweep_honours_the_scan_grid_keys(self, tmp_path, capsys, setting):
+        # Each scan of the sweep uses the configured grid: fewer points or a
+        # narrower window than the defaults changes the fitted series.
+        text = (CONFIG_DIR / "example.ini").read_text()
+        key = setting.partition(" = ")[0]
+        default = next(line for line in text.splitlines() if line.startswith(key))
+        outputs = {}
+        for label, ini in (("default", text), ("changed", text.replace(default, setting))):
+            sat_out, lw_out = tmp_path / f"sat_{label}.csv", tmp_path / f"lw_{label}.csv"
+            argv = ["power-sweep", "--config", str(write_ini(tmp_path, ini, f"{label}.ini")),
+                    "--saturation-out", str(sat_out), "--linewidths-out", str(lw_out)]
+            rc, _, captured = run_cli(capsys, argv)
+            assert rc == 0, captured.err
+            outputs[label] = (sat_out.read_bytes(), lw_out.read_bytes())
+        if setting == default:
+            assert outputs["changed"] == outputs["default"]
+        else:
+            assert outputs["changed"][1] != outputs["default"][1]
+
+
 class TestReproduceCommand:
     def test_table1_rows_recover_truth(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))

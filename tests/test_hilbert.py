@@ -150,3 +150,41 @@ class TestValidateDensityMatrix:
         rho = np.diag([1.1, -0.1]).astype(complex)
         with pytest.raises(ValueError):
             validate_density_matrix(rho)
+
+    def test_stack_with_one_bad_slice_names_it(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_density_matrix(rng, 4) for _ in range(5)])
+        stack[3] = np.diag([1.1, -0.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-01") as caught:
+            validate_density_matrix(stack)
+        assert caught.value.index == 3
+        validate_density_matrix(stack[:3])
+
+    def test_stack_reports_its_first_bad_slice_and_defect(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2.0] * 4)
+        stack[1, 0, 1] = 0.1
+        stack[2] *= 2.0
+        with pytest.raises(ValueError, match="not Hermitian") as caught:
+            validate_density_matrix(stack, context="batch")
+        assert caught.value.index == 1
+        with pytest.raises(ValueError, match="batch: trace") as caught:
+            validate_density_matrix(stack[2:], context="batch")
+        assert caught.value.index == 0
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (
+                np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex),
+                "ctx: not Hermitian (defect 1.414e-01)",
+            ),
+            (np.eye(2, dtype=complex), "ctx: trace (2+0j) differs from 1 beyond tolerance"),
+            (np.diag([1.1, -0.1]).astype(complex), "ctx: negative eigenvalue -1.000e-01"),
+            (np.ones((2, 3), dtype=complex), "ctx: not a square matrix, shape (2, 3)"),
+        ],
+    )
+    def test_single_matrix_messages_are_unchanged(self, rho, message):
+        with pytest.raises(ValueError) as caught:
+            validate_density_matrix(rho, context="ctx")
+        assert str(caught.value) == message
+        assert not hasattr(caught.value, "index")

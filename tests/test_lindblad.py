@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqed_scope.errors import IntegrationError, NumericalError
+from cqed_scope import lindblad
+from cqed_scope.errors import IntegrationError, NonUniqueSteadyStateError, NumericalError
 from cqed_scope.hilbert import (
     annihilation,
     basis_index,
@@ -20,7 +21,8 @@ from cqed_scope.lindblad import (
     build_hamiltonian,
     build_liouvillian,
     evolve,
-    laser_scan_liouvillians,
+    laser_scan_stacks,
+    solve_stack,
     steady_state,
     truncation_check,
 )
@@ -175,7 +177,7 @@ class TestBuildLiouvillian:
             build_liouvillian(np.zeros((3, 3)), params)
 
 
-class TestLaserScanLiouvillians:
+class TestLaserScanStacks:
     @settings(max_examples=60)
     @given(
         g=st.floats(0.0, 20.0),
@@ -186,9 +188,10 @@ class TestLaserScanLiouvillians:
         n_max=st.integers(1, 4),
         target=st.sampled_from(DriveTarget),
         transfer=st.booleans(),
+        per_stack=st.integers(1, 10),
     )
     def test_shifted_generators_match_fresh_assembly(
-        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, per_stack
     ):
         params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
         channels = IncoherentChannels(
@@ -200,15 +203,58 @@ class TestLaserScanLiouvillians:
         width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
         omegas = [centre + width * step for step in np.linspace(-3.0, 3.0, 9)]
 
-        shifted = list(laser_scan_liouvillians(params, drive, n_max, channels, omegas))
+        matrix_bytes = 16 * (2 * (n_max + 1)) ** 4
+        shifted, norms = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lindblad, "STACK_BYTES", per_stack * matrix_bytes)
+            for stack, stack_norms in laser_scan_stacks(params, drive, n_max, channels, omegas):
+                assert len(stack) == len(stack_norms) <= per_stack
+                shifted.extend(stack.copy())  # the next stack reuses the buffer
+                norms.extend(stack_norms)
         assert len(shifted) == len(omegas)
-        for omega, lv in zip(omegas, shifted):
+        for omega, lv, norm in zip(omegas, shifted, norms):
             ham = build_hamiltonian(params, drive.with_laser_frequency(omega), n_max)
             fresh = build_liouvillian(ham, params, channels)
             assert isinstance(lv, np.ndarray) and lv.shape == fresh.shape
             np.testing.assert_allclose(lv, fresh, rtol=0.0, atol=1e-14 * np.linalg.norm(fresh))
+            assert norm == pytest.approx(np.linalg.norm(fresh), rel=1e-12)
             if omega == omegas[len(omegas) // 2]:
                 assert np.array_equal(lv, fresh)
+
+
+class TestSolveStack:
+    def stack_of(self, *generators):
+        return np.stack(generators), np.array([np.linalg.norm(g) for g in generators])
+
+    def test_slices_match_single_solves(self):
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
+        generators = [
+            build_liouvillian(build_hamiltonian(params, qd_drive(omega, TWO_PI * 1.0), 2), params)
+            for omega in params.omega_d + TWO_PI * np.array([-3.0, 0.0, 2.0])
+        ]
+        rhos, residuals = solve_stack(*self.stack_of(*generators))
+        for rho, residual, generator in zip(rhos, residuals, generators):
+            single = steady_state(generator)
+            assert np.array_equal(rho, single.rho)
+            assert residual == single.residual
+
+    def test_singular_slice_is_located(self):
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5)
+        ham = build_hamiltonian(params, qd_drive(params.omega_d, TWO_PI * 1.0), 1)
+        good = build_liouvillian(ham, params)
+        closed = assemble_liouvillian(ham, [])
+        with pytest.raises(NonUniqueSteadyStateError, match="singular") as caught:
+            solve_stack(*self.stack_of(good, good, closed, good))
+        assert caught.value.index == 2
+
+    def test_non_positive_slice_is_located(self):
+        # L x = v tr(x) - x has the single kernel vector v.
+        trace_row = np.eye(2).reshape(-1)
+        bad = (np.outer(np.diag([1.2, -0.2]).reshape(-1), trace_row) - np.eye(4)).astype(complex)
+        good = (np.outer(trace_row / 2.0, trace_row) - np.eye(4)).astype(complex)
+        with pytest.raises(NumericalError, match="negative eigenvalue") as caught:
+            solve_stack(*self.stack_of(good, bad, bad))
+        assert caught.value.index == 1
 
 
 class TestSteadyState:

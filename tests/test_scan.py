@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from cqed_scope import lindblad
 from cqed_scope import scan as scan_module
 from cqed_scope.dataset import ScanKind, SpectrumDataset
-from cqed_scope.errors import ConfigError, TruncationError
+from cqed_scope.errors import (
+    ConfigError, NonUniqueSteadyStateError, NumericalError, ScanError, TruncationError
+)
 from cqed_scope.fit import fit_lorentzian, fit_saturation
 from cqed_scope.lindblad import build_hamiltonian, build_liouvillian, steady_state, truncation_check
 from cqed_scope.model import (
@@ -168,12 +170,42 @@ class TestScanLaser:
         def broken(*args, **kwargs):
             raise TypeError("injected bug")
 
-        monkeypatch.setattr(scan_module, "steady_state", broken)
+        monkeypatch.setattr(lindblad, "solve_stack", broken)
         params = make_system(g=0.0, kappa=2.0, gamma=0.5)
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, omega_rabi=1.0)
         grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 5)
         with pytest.raises(TypeError, match="injected bug"):
             scan_laser(params, drive, grid, EmissionChannel.QD, 1, check_truncation=False)
+
+    @pytest.mark.parametrize("defect", ["singular", "non-positive"])
+    def test_failure_in_a_later_stack_names_its_wavelength(self, monkeypatch, defect):
+        # Cutoff 1 generators are 16 x 16: four to a stack, so points 6 and 7 are
+        # slices 2 and 3 of the second stack.
+        monkeypatch.setattr(lindblad, "STACK_BYTES", 4 * 16**3)
+        if defect == "singular":
+            bad = np.zeros((16, 16), dtype=complex)
+        else:
+            # L x = v tr(x) - x has the unit-trace, non-positive kernel v.
+            v = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex).reshape(-1)
+            bad = np.outer(v, np.eye(4).reshape(-1)) - np.eye(16)
+        solve, stacks = lindblad.solve_stack, []
+
+        def corrupting(stack, norms, residual_tol):
+            stacks.append(len(stack))
+            if len(stacks) == 2:
+                stack[2:] = bad
+            return solve(stack, norms, residual_tol)
+
+        monkeypatch.setattr(lindblad, "solve_stack", corrupting)
+        params = make_system(g=0.0, kappa=2.0, gamma=0.5)
+        drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, omega_rabi=1.0)
+        grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 13)
+        with pytest.raises(ScanError, match=f"at {grid[6]:.6f} nm") as caught:
+            scan_laser(params, drive, grid, EmissionChannel.QD, 1, check_truncation=False)
+        assert stacks == [4, 4]
+        cause = caught.value.__cause__
+        expected = NonUniqueSteadyStateError if defect == "singular" else NumericalError
+        assert isinstance(cause, expected) and cause.index == 6
 
     def test_peak_sits_at_the_dot_wavelength(self):
         params = make_system(g=0.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
@@ -237,16 +269,19 @@ class TestShiftedGenerator:
         target=st.sampled_from(DriveTarget),
         observe=st.sampled_from(EmissionChannel),
         transfer=st.booleans(),
+        points=st.integers(5, 41),
     )
     # Narrow lines far from the dot: the shift must use the number operator as
     # assembled (sqrt(n)**2, not n) to stay within the bound here.
     @example(
         g=0.5, kappa=0.5, gamma=0.1015625, gamma_d=0.0, delta=15.0, n_max=2,
-        target=DriveTarget.CAVITY, observe=EmissionChannel.QD, transfer=False,
+        target=DriveTarget.CAVITY, observe=EmissionChannel.QD, transfer=False, points=9,
     )
     def test_scan_matches_per_point_assembly(
-        self, g, kappa, gamma, gamma_d, delta, n_max, target, observe, transfer
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, observe, transfer, points
     ):
+        # Cutoffs 3 and 4 solve 16 and 6 points per stack, so most grids end in a
+        # partial stack; the middle point is the reference and matches exactly.
         params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
         channels = IncoherentChannels(
             transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
@@ -255,13 +290,14 @@ class TestShiftedGenerator:
         centre = params.omega_d if target is DriveTarget.QD else params.omega_c
         drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * 1.0)
         width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
-        grid = wavelength_window(centre, width, 6.0, 9)
+        grid = wavelength_window(centre, width, 6.0, points)
 
         data = scan_laser(
             params, drive, grid, observe, n_max, channels=channels, check_truncation=False
         )
         expected = per_point_spectrum(params, drive, grid, observe, n_max, channels)
         np.testing.assert_allclose(data.y, expected, rtol=0.0, atol=1e-14 * expected.max())
+        assert data.y[points // 2] == expected[points // 2]
 
 
 class TestWindowSizing:
