@@ -15,10 +15,10 @@ only detunings from the laser appear.  The generator is a plain complex
 ``dim**2 x dim**2`` array acting on the row-major flattening of rho:
 ``vec(A rho B) = (A kron B^T) vec(rho)``.
 
-Steady states come from one routine, :func:`solve_stack`, which solves a stack of
-generators with one batched LU and checks every guard across the stack.  A laser scan
-assembles its generator once and solves the grid in stacks of shifted copies
-(:func:`laser_scan_steady_states`); :func:`steady_state` is a one-slice call.
+Steady states come from one routine, :func:`solve_stack`: a block elimination over the
+``2 * n_max + 3`` sectors of equal excitation difference, in which the generator is block
+tridiagonal.  A scan assembles its generator and gathers its blocks once, then solves its grid
+in batches (:func:`laser_scan_steady_states`); :func:`steady_state` is the one-point call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import IntegrationError, NonUniqueSteadyStateError, NumericalError
 from .hilbert import (
     annihilation,
     dagger,
-    identity,
     lift_cavity,
     lift_qd,
     qd_lowering,
@@ -47,7 +46,7 @@ STEADY_RESIDUAL_TOL = 1e-9
 #: Relative change in occupations under a cutoff increase that counts as converged.
 TRUNCATION_RTOL = 1e-8
 
-#: Scratch bytes for one stack of scan generators: 16 points at cutoff 3, one from cutoff 6 up.
+#: Schur-complement bytes per batch of scan points: 82 points at cutoff 3, 2 at 13, 1 from 14 up.
 STACK_BYTES = 1 << 20
 
 
@@ -83,15 +82,19 @@ def assemble_liouvillian(
 ) -> np.ndarray:
     """Build the superoperator matrix from a Hamiltonian and collapse terms.
 
-    Rates must be non-negative; zero-rate terms are dropped.  The commutator
-    part uses ``-i (H kron 1 - 1 kron H^T)``; each collapse term contributes
-    ``r * (C kron conj(C) - (C^+C kron 1 + 1 kron (C^+C)^T) / 2)``.
+    Rates must be non-negative; zero-rate terms are dropped.  With ``D = sum_k r_k C_k^+ C_k / 2``
+    the generator is ``K kron 1 + 1 kron R^T + sum_k r_k C_k kron conj(C_k)``, where
+    ``K = -i H - D`` acts on rho from the left and ``R = i H - D`` from the right
+    (``R^T = conj(K)`` when ``H`` is Hermitian).  It is written in place on the
+    ``(dim, dim, dim, dim)`` view whose entry ``[i, j, k, l]`` weighs ``rho_kl`` in ``(L rho)_ij``:
+    the one-sided terms through strided diagonals, each jump term one non-zero of ``C_k`` at a time.
     """
     if hamiltonian.ndim != 2 or hamiltonian.shape[0] != hamiltonian.shape[1]:
         raise ValueError(f"hamiltonian must be square, got shape {hamiltonian.shape}")
     dim = hamiltonian.shape[0]
-    eye = identity(dim)
-    matrix = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
+    matrix = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    view = matrix.reshape(dim, dim, dim, dim)
+    decay = np.zeros((dim, dim), dtype=np.complex128)
     for rate, op in collapse_terms:
         if rate < 0.0:
             raise ValueError(f"collapse rate must be >= 0, got {rate}")
@@ -99,12 +102,12 @@ def assemble_liouvillian(
             raise ValueError(f"collapse operator shape {op.shape} does not match dim {dim}")
         if rate == 0.0:
             continue
-        opdag_op = dagger(op) @ op
-        matrix += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(opdag_op, eye)
-            - 0.5 * np.kron(eye, opdag_op.T)
-        )
+        decay += 0.5 * rate * (dagger(op) @ op)
+        conj = op.conj()
+        for i, k in zip(*np.nonzero(op)):
+            view[i, :, k, :] += rate * op[i, k] * conj
+    np.einsum("ijkj->ijk", view)[...] += (-1j * hamiltonian - decay)[:, None, :]
+    np.einsum("ijil->ijl", view)[...] += (1j * hamiltonian - decay).T
     return matrix
 
 
@@ -163,38 +166,140 @@ def _observables(reading: np.ndarray) -> dict[str, float | complex]:
     }
 
 
-def solve_stack(
-    stack: np.ndarray, norms: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-trace steady states ``(rhos, residuals)`` of a ``(k, dim**2, dim**2)`` generator stack.
-
-    The stack is scratch: in each slice the equation for the (0, 0) matrix element is
-    overwritten by the trace constraint ``sum_i rho_ii = 1`` and all slices go through one
-    batched dense solve.  The guards then run over the whole stack: Hermiticity and unit trace
-    (a degenerate steady manifold, also signalled by a singular system, raises
-    :class:`~cqed_scope.errors.NonUniqueSteadyStateError`), the residual
-    ``||L rho|| <= residual_tol * max(1, norms)`` with ``norms`` the generators' Frobenius norms,
-    and positivity.  An error describes the first failing slice and carries its position as
-    ``index``.
-    """
-    k, size, _ = stack.shape
-    dim = math.isqrt(size)
-    # Row-major flattening puts element (0, 0) in row 0 and the diagonal at i*dim+i.
-    row0 = stack[:, 0, :].copy()
-    stack[:, 0, :] = 0.0
-    stack[:, 0, :: dim + 1] = 1.0
-    rhs = np.zeros((k, size, 1), dtype=np.complex128)
-    rhs[:, 0] = 1.0
+def _solve_batch(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` over a batch; a singular item raises with its position as ``index``."""
     try:
-        vecs = np.linalg.solve(stack, rhs)
+        # A right-hand side with the batch axis reads as matrices under numpy 1.x and 2.x alike.
+        return np.linalg.solve(matrices, np.broadcast_to(rhs, matrices.shape[:1] + rhs.shape))
     except np.linalg.LinAlgError as exc:
-        # A zero pivot in the same LU is what made the solve fail.
-        singular = np.linalg.slogdet(stack)[0] == 0
+        # The batched LU stopped at an exactly zero pivot, which the same LU of the item repeats.
+        index = int(np.argmax(np.linalg.slogdet(matrices)[0] == 0))
         raise NonUniqueSteadyStateError(
-            "steady-state system is singular; the generator has a degenerate kernel",
-            index=int(np.argmax(singular)),
+            "steady-state system is singular; the generator has a degenerate kernel", index=index
         ) from exc
 
+
+class _Sectors:
+    """A generator's blocks between excitation-difference sectors, gathered once.
+
+    The unknown ``rho_ij`` sits in sector ``m = rint(N_i - N_j)``; sectors are numbered in ``m``
+    order and ``blocks[r, s]`` couples neighbours.  Sector ``inner[s]`` is the neighbour of ``s``
+    towards the centre ``m = 0``, where the trace row replaces the equation for element (0, 0).
+    A generator with any entry between sectors two or more apart is kept as one sector.
+    """
+
+    def __init__(self, generator: np.ndarray, number: np.ndarray) -> None:
+        size = generator.shape[0]
+        if number.size**2 != size:
+            raise ValueError(f"{number.size} excitation numbers do not fit a {size}-row generator")
+        self.shift = 1j * np.subtract.outer(number, number).ravel()
+        labels = np.rint(self.shift.imag).astype(int)
+        rows, cols = np.divmod(np.flatnonzero(generator != 0.0), size)
+        if np.abs(labels[rows] - labels[cols]).max(initial=0) > 1:
+            labels[:] = 0
+        values = np.unique(labels)
+        self.parts = [np.flatnonzero(labels == m) for m in values]
+        self.centre = centre = int(np.searchsorted(values, 0))
+        self.inner = {s: s + 1 if s < centre else s - 1 for s in range(len(values)) if s != centre}
+        # Eliminated from both outer ends inward, then back-substituted in reverse.
+        self.order = [*range(centre), *range(len(values) - 1, centre, -1)]
+        self.blocks = {
+            (r, s): generator[np.ix_(self.parts[r], self.parts[s])]
+            for r in range(len(values))
+            for s in range(max(r - 1, 0), min(r + 2, len(values)))
+        }
+        # Element (0, 0) leads the centre sector, and the diagonal of rho lies wholly inside it.
+        self.row0 = generator[0]
+        for (r, _), block in self.blocks.items():
+            if r == centre:
+                block[0] = 0.0
+        trace = np.searchsorted(self.parts[centre], np.arange(number.size) * (number.size + 1))
+        self.blocks[centre, centre][0, trace] = 1.0
+        stored = sum(self.blocks[s, t].size for s, t in self.inner.items())
+        self.point_bytes = 16 * (stored + self.blocks[centre, centre].size)
+
+    def solve(self, steps: np.ndarray) -> np.ndarray:
+        """Solutions ``(k, size)`` of the trace-constrained systems at each offset."""
+        factors = {}
+        for s in [*self.order, self.centre]:
+            n = len(self.parts[s])
+            schur = np.repeat(self.blocks[s, s][None], steps.size, axis=0)
+            schur.reshape(steps.size, -1)[:, :: n + 1] += steps[:, None] * self.shift[self.parts[s]]
+            for t in (s - 1, s + 1):
+                if t in factors:  # an eliminated outer neighbour
+                    schur -= self.blocks[s, t] @ factors[t]
+            rhs = np.eye(n, 1) if s == self.centre else self.blocks[s, self.inner[s]]
+            factors[s] = _solve_batch(schur, rhs)
+        xs = {self.centre: factors[self.centre]}
+        for s in reversed(self.order):
+            xs[s] = -(factors[s] @ xs[self.inner[s]])
+        vecs = np.empty((steps.size, self.row0.size), dtype=np.complex128)
+        for s, x in xs.items():
+            vecs[:, self.parts[s]] = x[:, :, 0]
+        return vecs
+
+    def apply(self, steps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """The shifted generators applied to ``vecs``, ``(k, size)``."""
+        xs = [vecs[:, p, None] for p in self.parts]
+        out = [(steps[:, None] * self.shift[p])[:, :, None] * x for p, x in zip(self.parts, xs)]
+        for (r, s), block in self.blocks.items():
+            out[r] += block @ xs[s]
+        applied = np.empty_like(vecs)
+        for p, part in zip(self.parts, out):
+            applied[:, p] = part[:, :, 0]
+        # Row 0 of the blocks holds the trace constraint; the generator's own row was kept.
+        applied[:, 0] = np.einsum("kj,j->k", vecs, self.row0)
+        return applied
+
+
+def solve_stack(
+    generator: np.ndarray,
+    number: np.ndarray,
+    offsets: np.ndarray,
+    residual_tol: float = STEADY_RESIDUAL_TOL,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Unit-trace steady states of ``generator + d S`` at each offset ``d``, batch by batch.
+
+    ``number`` is the diagonal of ``N = sigma^+ sigma + a^+ a``, and ``S = i (N_i - N_j)`` sits on
+    the diagonal entry for ``rho_ij``: in the laser frame, moving the laser by ``d`` adds ``d S``.
+    Every term of the generator but the coherent drive conserves ``m = N_i - N_j`` and the drive
+    moves it by one, so in ``m`` order the generator is block tridiagonal, with ``S`` diagonal in
+    each block.  The blocks are gathered once (:class:`_Sectors`), then the points are solved in
+    batches whose Schur complements fit :data:`STACK_BYTES`, each yielded as ``(rhos,
+    residuals)``: elimination from both outer sectors in to ``m = 0``, then back-substitution.
+    The ``+m`` and ``-m`` halves are solved separately, so the Hermiticity guard tests the solve.
+    A generator with an entry between sectors two or more apart is solved as one block, densely.
+
+    The guards run over every batch: Hermiticity and unit trace (a degenerate steady manifold,
+    also signalled by a singular block, raises
+    :class:`~cqed_scope.errors.NonUniqueSteadyStateError`), the residual
+    ``||L rho|| <= residual_tol * max(1, ||L||_F)``, and positivity.  The Frobenius norms follow
+    in closed form, ``||L0 + d S||**2 = ||L0||**2 + 2 d Re<diag L0, S> + d**2 ||S||**2``.  An
+    error describes the first failing point and carries its position in ``offsets`` as ``index``.
+    """
+    sectors = _Sectors(generator, number)
+    offsets = np.asarray(offsets, dtype=float)
+    cross = 2.0 * np.vdot(generator.diagonal(), sectors.shift).real
+    shift_sq = np.vdot(sectors.shift, sectors.shift).real
+    norms = np.sqrt(np.vdot(generator, generator).real + offsets * cross + offsets**2 * shift_sq)
+    per_batch = max(1, STACK_BYTES // sectors.point_bytes)
+    for start in range(0, offsets.size, per_batch):
+        batch = slice(start, start + per_batch)
+        try:
+            solved = _checked(sectors, offsets[batch], norms[batch], residual_tol)
+        except NumericalError as exc:
+            exc.index += start
+            raise
+        yield solved
+
+
+def _checked(
+    sectors: _Sectors, steps: np.ndarray, norms: np.ndarray, residual_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch of :func:`solve_stack`: solve, then run every guard over the batch."""
+    k = steps.size
+    vecs = sectors.solve(steps)
+    dim = math.isqrt(vecs.shape[1])
     rhos = vecs.reshape(k, dim, dim)
     adjoint = rhos.conj().transpose(0, 2, 1)
     scale = np.maximum(1.0, np.linalg.norm(rhos, axis=(1, 2)))
@@ -204,10 +309,7 @@ def solve_stack(
     off_trace = ~(np.abs(traces - 1.0) <= 1e-6)
     rhos = rhos / np.where(off_trace, 1.0, traces)[:, None, None]
 
-    # Rows 1.. of the constrained system are the generator's own; row 0 was kept aside.
-    applied = np.matmul(stack, rhos.reshape(k, size, 1))[:, :, 0]
-    applied[:, 0] = np.einsum("kj,kj->k", row0, rhos.reshape(k, size))
-    residuals = np.linalg.norm(applied, axis=1)
+    residuals = np.linalg.norm(sectors.apply(steps, rhos.reshape(k, -1)), axis=1)
     loose = ~(residuals <= residual_tol * np.maximum(1.0, norms))
 
     failing = np.flatnonzero(asymmetric | off_trace | loose)
@@ -233,55 +335,16 @@ def solve_stack(
 
 
 def steady_state(liouvillian: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
-    """Unique steady state of one generator: a one-slice :func:`solve_stack`.
+    """Unique steady state of one generator: a one-point :func:`solve_stack`.
 
-    Errors are those of :func:`solve_stack`; the generator itself is left untouched.
+    At a zero offset only the sectors matter, so the basis' own excitation numbers
+    ``N = qd + n`` serve.  Errors are those of :func:`solve_stack`; the generator is left untouched.
     """
-    norm = np.array([np.linalg.norm(liouvillian)])
-    rhos, residuals = solve_stack(liouvillian[None].copy(), norm, residual_tol)
-    reading = _read(rhos, _readout(rhos.shape[1] // 2 - 1))[0]
+    dim = math.isqrt(liouvillian.shape[0])
+    number = np.add.outer((0.0, 1.0), np.arange(dim // 2)).ravel()
+    rhos, residuals = next(solve_stack(liouvillian, number, np.zeros(1), residual_tol))
+    reading = _read(rhos, _readout(dim // 2 - 1))[0]
     return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=_observables(reading))
-
-
-def laser_scan_stacks(
-    params: SystemParams,
-    drive: DriveSpec,
-    n_max: int,
-    channels: IncoherentChannels | None,
-    laser_omegas: list[float],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Generators at each laser frequency, in order, as ``(stack, norms)`` pairs.
-
-    Each stack fills at most :data:`STACK_BYTES` (but holds at least one generator), and the
-    generator is assembled once, at the middle frequency.  In the laser frame ``omega_l``
-    enters only as ``-omega_l N`` with the diagonal ``N = sigma^+ sigma + a^+ a``, built here
-    as in the Hamiltonian; moving the laser by ``d`` adds ``d * S`` with ``S = i (N_ii - N_jj)``
-    on the diagonal entry for ``rho_ij``.  A nearby reference keeps digits, and the Frobenius
-    norms follow in closed form, ``||L0 + d S||**2 = ||L0||**2 + 2 d Re<diag L0, S> +
-    d**2 ||S||**2``.  One scratch buffer holds every stack, so a stack is valid only until the
-    next one is drawn.
-    """
-    omega_ref = laser_omegas[len(laser_omegas) // 2]
-    ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
-    reference = build_liouvillian(ham, params, channels)
-    sm, a = _ladder(n_max)
-    number = np.diag(dagger(sm) @ sm + dagger(a) @ a).real
-    shift = 1j * np.subtract.outer(number, number).ravel()
-    norm_sq = np.vdot(reference, reference).real
-    cross = 2.0 * np.vdot(reference.diagonal(), shift).real
-    shift_sq = np.vdot(shift, shift).real
-
-    offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
-    size = reference.shape[0]
-    per_stack = max(1, STACK_BYTES // reference.nbytes)
-    scratch = np.empty((min(per_stack, offsets.size), size, size), dtype=np.complex128)
-    diagonals = scratch.reshape(len(scratch), -1)[:, :: size + 1]
-    for start in range(0, offsets.size, per_stack):
-        steps = offsets[start : start + per_stack]
-        stack = scratch[: steps.size]
-        stack[...] = reference
-        diagonals[: steps.size] += steps[:, None] * shift
-        yield stack, np.sqrt(norm_sq + steps * cross + steps**2 * shift_sq)
 
 
 def laser_scan_steady_states(
@@ -295,28 +358,27 @@ def laser_scan_steady_states(
     """Steady-state readout at each laser frequency and the middle point's full state.
 
     Row ``j`` of the ``(len(laser_omegas), 4)`` readout holds ``<a^+a>, <sigma^+sigma>, <a>,
-    <sigma>`` at ``laser_omegas[j]``; the read-out operators are built once per scan.  The middle
-    state equals a fresh :func:`steady_state` at its frequency bit for bit.  A failing point
-    raises the error of :func:`solve_stack` with ``index`` its position in ``laser_omegas``.
+    <sigma>`` at ``laser_omegas[j]``.  The generator is assembled once, at the middle frequency:
+    in the laser frame ``omega_l`` enters only as ``-omega_l N``, so each point is the shift by
+    its distance from there (a nearby reference keeps digits), with ``N`` read off the diagonals
+    of the read-out operators, which are built once per scan.  The middle state equals a fresh
+    :func:`steady_state` at its frequency bit for bit.  A failing point raises the error of
+    :func:`solve_stack` with ``index`` its position in ``laser_omegas``.
     """
-    readout = _readout(n_max)
     middle = len(laser_omegas) // 2
+    omega_ref = laser_omegas[middle]
+    ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
+    readout = _readout(n_max)
+    number = (readout[0] + readout[1]).diagonal().real
+    offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
+    generator = build_liouvillian(ham, params, channels)
     readings = np.empty((len(laser_omegas), 4), dtype=np.complex128)
     start = 0
-    for stack, norms in laser_scan_stacks(params, drive, n_max, channels, laser_omegas):
-        try:
-            rhos, residuals = solve_stack(stack, norms, residual_tol)
-        except NumericalError as exc:
-            exc.index += start
-            raise
+    for rhos, residuals in solve_stack(generator, number, offsets, residual_tol):
         readings[start : start + len(rhos)] = _read(rhos, readout)
         if start <= middle < start + len(rhos):
             j = middle - start
-            state = SteadyState(
-                rho=rhos[j],
-                residual=float(residuals[j]),
-                observables=_observables(readings[middle]),
-            )
+            state = SteadyState(rhos[j], float(residuals[j]), _observables(readings[middle]))
         start += len(rhos)
     return readings, state
 

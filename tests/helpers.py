@@ -77,3 +77,11 @@ def basis_projector(dim: int, index: int) -> np.ndarray:
 
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
+
+
+def steady_state_oracle(liouvillian: np.ndarray) -> np.ndarray:
+    """Steady state as the SVD null vector of the unmodified generator, scaled to unit trace."""
+    dim = int(round(np.sqrt(liouvillian.shape[0])))
+    null = np.linalg.svd(liouvillian)[2][-1].conj()
+    rho = null.reshape(dim, dim)
+    return rho / np.trace(rho)

@@ -1,5 +1,6 @@
 """Command-line behaviour: reports, exit codes, artifacts, determinism."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -585,3 +586,26 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "g_ghz = 10" in proc.stdout
+
+    def test_scan_leaves_scipy_unimported(self, tmp_path):
+        # numpy is the only declared runtime dependency; importing scipy.sparse.linalg alone
+        # would take a scan's process from about 29 to 59 MiB.
+        script = (
+            "import sys\n"
+            "from cqed_scope.cli import main\n"
+            "code = main(['scan', '--config', 'configs/example.ini'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env[OUTPUT_ENV_VAR] = str(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"

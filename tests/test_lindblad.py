@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cqed_scope import lindblad
@@ -21,14 +21,13 @@ from cqed_scope.lindblad import (
     build_hamiltonian,
     build_liouvillian,
     evolve,
-    laser_scan_stacks,
     solve_stack,
     steady_state,
     truncation_check,
 )
 from cqed_scope.model import TWO_PI, DriveSpec, DriveTarget, IncoherentChannels, SystemParams
 
-from helpers import basis_projector, purity, random_density_matrix
+from helpers import basis_projector, purity, random_density_matrix, steady_state_oracle
 
 OMEGA_REF = TWO_PI * 320_000.0
 
@@ -177,7 +176,40 @@ class TestBuildLiouvillian:
             build_liouvillian(np.zeros((3, 3)), params)
 
 
-class TestLaserScanStacks:
+def excitations(n_max):
+    """Diagonal of ``N = sigma^+ sigma + a^+ a``, built from the lifted operators."""
+    sigma = lift_qd(qd_lowering(), n_max)
+    a = lift_cavity(annihilation(n_max), n_max)
+    return np.diag(dagger(sigma) @ sigma + dagger(a) @ a).real
+
+
+def laser_shift(number):
+    """The diagonal ``S = i (N_i - N_j)`` that a unit laser step adds to the generator."""
+    return 1j * np.subtract.outer(number, number).ravel()
+
+
+def trace_kernel_generator(v, rates):
+    """``L x = v tr(x) - rates * x``, whose kernel is ``v`` wherever every rate is non-zero."""
+    dim = v.shape[0]
+    return np.outer(v.reshape(-1), np.eye(dim).reshape(-1)) - np.diag(rates).astype(complex)
+
+
+def solve_all(generator, number, offsets, residual_tol=lindblad.STEADY_RESIDUAL_TOL):
+    """Every batch of :func:`solve_stack`, joined: ``(rhos, residuals)``."""
+    rhos, residuals = zip(*solve_stack(generator, number, offsets, residual_tol))
+    return np.concatenate(rhos), np.concatenate(residuals)
+
+
+def random_system(g, kappa, gamma, gamma_d, delta, transfer):
+    params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
+    channels = IncoherentChannels(
+        transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
+        transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
+    )
+    return params, channels
+
+
+class TestSolveStack:
     @settings(max_examples=60)
     @given(
         g=st.floats(0.0, 20.0),
@@ -188,73 +220,107 @@ class TestLaserScanStacks:
         n_max=st.integers(1, 4),
         target=st.sampled_from(DriveTarget),
         transfer=st.booleans(),
-        per_stack=st.integers(1, 10),
+        stack_bytes=st.sampled_from([1, 1 << 13, 1 << 15, lindblad.STACK_BYTES]),
     )
-    def test_shifted_generators_match_fresh_assembly(
-        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, per_stack
+    def test_shifted_solves_match_fresh_assembly(
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, stack_bytes
     ):
-        params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
-        channels = IncoherentChannels(
-            transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
-            transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
-        )
+        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
         centre = params.omega_d if target is DriveTarget.QD else params.omega_c
         drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * 1.0)
         width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
-        omegas = [centre + width * step for step in np.linspace(-3.0, 3.0, 9)]
+        omegas = centre + width * np.linspace(-3.0, 3.0, 9)
+        reference = build_liouvillian(build_hamiltonian(params, drive, n_max), params, channels)
 
-        matrix_bytes = 16 * (2 * (n_max + 1)) ** 4
-        shifted, norms = [], []
+        number, offsets = excitations(n_max), omegas - centre
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lindblad, "STACK_BYTES", per_stack * matrix_bytes)
-            for stack, stack_norms in laser_scan_stacks(params, drive, n_max, channels, omegas):
-                assert len(stack) == len(stack_norms) <= per_stack
-                shifted.extend(stack.copy())  # the next stack reuses the buffer
-                norms.extend(stack_norms)
-        assert len(shifted) == len(omegas)
-        for omega, lv, norm in zip(omegas, shifted, norms):
-            ham = build_hamiltonian(params, drive.with_laser_frequency(omega), n_max)
-            fresh = build_liouvillian(ham, params, channels)
-            assert isinstance(lv, np.ndarray) and lv.shape == fresh.shape
-            np.testing.assert_allclose(lv, fresh, rtol=0.0, atol=1e-14 * np.linalg.norm(fresh))
-            assert norm == pytest.approx(np.linalg.norm(fresh), rel=1e-12)
-            if omega == omegas[len(omegas) // 2]:
-                assert np.array_equal(lv, fresh)
+            patch.setattr(lindblad, "STACK_BYTES", stack_bytes)
+            rhos, residuals = solve_all(reference, number, offsets)
+            scales = []
+            for omega, rho, residual in zip(omegas, rhos, residuals):
+                ham = build_hamiltonian(params, drive.with_laser_frequency(omega), n_max)
+                fresh = build_liouvillian(ham, params, channels)
+                scales.append(max(1.0, np.linalg.norm(fresh)))
+                assert np.linalg.norm(fresh @ rho.reshape(-1)) <= 1e-9 * scales[-1]
+                np.testing.assert_allclose(rho, steady_state(fresh).rho, rtol=0.0, atol=1e-10)
+            assert np.array_equal(rhos[4], steady_state(reference).rho)
 
+            # The residual guard scales by each shifted generator's norm, taken in closed form.
+            ratios = residuals / np.array(scales)
+            j = int(np.argmax(ratios))
+            assume(ratios[j] > 0.0)
+            solve_all(reference, number, offsets, residual_tol=ratios[j] * (1.0 + 1e-9))
+            with pytest.raises(NumericalError, match="residual") as caught:
+                solve_all(reference, number, offsets, residual_tol=ratios[j] * (1.0 - 1e-9))
+            assert caught.value.index == j
 
-class TestSolveStack:
-    def stack_of(self, *generators):
-        return np.stack(generators), np.array([np.linalg.norm(g) for g in generators])
-
-    def test_slices_match_single_solves(self):
+    def test_slices_match_single_solves(self, monkeypatch):
+        # Two points to a batch at cutoff 3; each equals a one-point solve of its shifted generator.
+        monkeypatch.setattr(lindblad, "STACK_BYTES", 1 << 15)
         params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
-        generators = [
-            build_liouvillian(build_hamiltonian(params, qd_drive(omega, TWO_PI * 1.0), 2), params)
-            for omega in params.omega_d + TWO_PI * np.array([-3.0, 0.0, 2.0])
-        ]
-        rhos, residuals = solve_stack(*self.stack_of(*generators))
-        for rho, residual, generator in zip(rhos, residuals, generators):
-            single = steady_state(generator)
-            assert np.array_equal(rho, single.rho)
-            assert residual == single.residual
+        generator = build_liouvillian(
+            build_hamiltonian(params, cavity_drive(params.omega_c, TWO_PI * 3.0), 3), params
+        )
+        number = excitations(3)
+        offsets = TWO_PI * np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 7.0, 11.0])
+        rhos, residuals = solve_all(generator, number, offsets)
+        shift = laser_shift(number)
+        for offset, rho, residual in zip(offsets, rhos, residuals):
+            single, single_residual = solve_all(
+                generator + np.diag(offset * shift), number, np.zeros(1)
+            )
+            assert np.array_equal(rho, single[0])
+            assert residual == pytest.approx(single_residual[0], rel=1e-6, abs=1e-14)
 
-    def test_singular_slice_is_located(self):
-        params = make_system(g=5.0, kappa=2.0, gamma=0.5)
-        ham = build_hamiltonian(params, qd_drive(params.omega_d, TWO_PI * 1.0), 1)
-        good = build_liouvillian(ham, params)
-        closed = assemble_liouvillian(ham, [])
-        with pytest.raises(NonUniqueSteadyStateError, match="singular") as caught:
-            solve_stack(*self.stack_of(good, good, closed, good))
-        assert caught.value.index == 2
+    def test_singular_slice_is_located(self, monkeypatch):
+        # Coherences between different N that neither decay nor rotate are stationary at zero
+        # offset only; one batch, then one point to a batch.
+        number = excitations(1)
+        same_n = laser_shift(number) == 0.0
+        generator = trace_kernel_generator(basis_projector(4, 0), same_n)
+        for stack_bytes in (lindblad.STACK_BYTES, 1):
+            monkeypatch.setattr(lindblad, "STACK_BYTES", stack_bytes)
+            with pytest.raises(NonUniqueSteadyStateError, match="singular") as caught:
+                solve_all(generator, number, np.array([1.0, 2.0, 0.0, -1.0, 0.0]))
+            assert caught.value.index == 2
 
-    def test_non_positive_slice_is_located(self):
-        # L x = v tr(x) - x has the single kernel vector v.
-        trace_row = np.eye(2).reshape(-1)
-        bad = (np.outer(np.diag([1.2, -0.2]).reshape(-1), trace_row) - np.eye(4)).astype(complex)
-        good = (np.outer(trace_row / 2.0, trace_row) - np.eye(4)).astype(complex)
-        with pytest.raises(NumericalError, match="negative eigenvalue") as caught:
-            solve_stack(*self.stack_of(good, bad, bad))
-        assert caught.value.index == 1
+    def test_non_positive_slice_is_located(self, monkeypatch):
+        # The kernel's coherence 0.6 / |1 - i d| exceeds the populations' 0.5 for |d| < 0.66.
+        v = np.zeros((4, 4), dtype=complex)
+        v[:2, :2] = [[0.5, 0.6], [0.6, 0.5]]
+        generator = trace_kernel_generator(v, np.ones(16))
+        rhos, _ = solve_all(generator, excitations(1), np.array([2.0, -1.0]))
+        assert np.linalg.eigvalsh(rhos).min() > -1e-15
+        for stack_bytes in (lindblad.STACK_BYTES, 1):
+            monkeypatch.setattr(lindblad, "STACK_BYTES", stack_bytes)
+            with pytest.raises(NumericalError, match="negative eigenvalue") as caught:
+                solve_all(generator, excitations(1), np.array([2.0, -1.0, 0.5, 0.0]))
+            assert caught.value.index == 2
+
+    @settings(max_examples=40)
+    @given(
+        g=st.floats(0.0, 20.0),
+        kappa=st.floats(0.5, 30.0),
+        gamma=st.floats(0.1, 2.0),
+        gamma_d=st.floats(0.0, 3.0),
+        delta=st.floats(-100.0, 100.0),
+        n_max=st.integers(1, 6),
+        target=st.sampled_from(DriveTarget),
+        transfer=st.booleans(),
+        rabi_ghz=st.floats(0.0, 50.0),
+    )
+    def test_generator_couples_only_neighbouring_sectors(
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, rabi_ghz
+    ):
+        # The sector solve's premise: only the drive changes m = N_i - N_j, and by one.
+        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
+        drive = DriveSpec(target=target, omega_l=params.omega_c, omega_rabi=TWO_PI * rabi_ghz)
+        generator = build_liouvillian(build_hamiltonian(params, drive, n_max), params, channels)
+        sector = laser_shift(excitations(n_max)).imag
+        rows, cols = np.nonzero(generator)
+        steps = np.abs(sector[rows] - sector[cols])
+        assert steps.max() <= 1.0 + 1e-9
+        assert (steps.max() > 0.5) == (rabi_ghz > 0.0)
 
 
 class TestSteadyState:
@@ -300,6 +366,23 @@ class TestSteadyState:
         ham = build_hamiltonian(params, qd_drive(params.omega_d, 0.0), n_max=1)
         with pytest.raises(NumericalError):
             steady_state(assemble_liouvillian(ham, []))
+
+    def test_two_photon_drive_outside_the_band_matches_the_oracle(self):
+        # a^2 + a^+2 moves m = N_i - N_j by two, so no block-tridiagonal split in m holds.
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
+        n_max = 3
+        sigma = lift_qd(qd_lowering(), n_max)
+        a = lift_cavity(annihilation(n_max), n_max)
+        ham = build_hamiltonian(params, qd_drive(params.omega_d, TWO_PI * 1.0), n_max)
+        ham = ham + TWO_PI * 0.5 * (a @ a + dagger(a) @ dagger(a))
+        terms = [
+            (2.0 * params.kappa, a),
+            (2.0 * params.gamma, sigma),
+            (2.0 * params.gamma_d, dagger(sigma) @ sigma),
+        ]
+        lv = assemble_liouvillian(ham, terms)
+        result = steady_state(lv)
+        np.testing.assert_allclose(result.rho, steady_state_oracle(lv), rtol=0.0, atol=1e-12)
 
     def test_steady_density_matrix_is_physical(self):
         params = make_system(g=10.0, kappa=20.0, gamma=0.5, gamma_d=1.5, delta=-69.0)

@@ -11,6 +11,7 @@ from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import (
     ConfigError, NonUniqueSteadyStateError, NumericalError, ScanError, TruncationError
 )
+from cqed_scope.hilbert import annihilation, dagger, lift_cavity, lift_qd, qd_lowering
 from cqed_scope.fit import fit_lorentzian, fit_saturation
 from cqed_scope.lindblad import build_hamiltonian, build_liouvillian, steady_state, truncation_check
 from cqed_scope.model import (
@@ -32,7 +33,7 @@ from cqed_scope.scan import (
     wavelength_window,
 )
 
-from helpers import interpolated_fwhm
+from helpers import interpolated_fwhm, steady_state_oracle
 
 
 def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, cavity_nm=931.0):
@@ -179,30 +180,38 @@ class TestScanLaser:
 
     @pytest.mark.parametrize("defect", ["singular", "non-positive"])
     def test_failure_in_a_later_stack_names_its_wavelength(self, monkeypatch, defect):
-        # Cutoff 1 generators are 16 x 16: four to a stack, so points 6 and 7 are
-        # slices 2 and 3 of the second stack.
-        monkeypatch.setattr(lindblad, "STACK_BYTES", 4 * 16**3)
+        # At cutoff 1 (sectors of 1, 4, 6, 4 and 1 unknowns) a point's Schur complements take
+        # 16 * (2 * (4 * 6 + 1 * 4) + 6 * 6) = 1472 bytes: four points to a batch, so the
+        # middle point 6, the unshifted reference, is the third of the second batch.
+        monkeypatch.setattr(lindblad, "STACK_BYTES", 4 * 1472)
+        number = np.array([0, 1, 1, 2])  # N of |g0>, |g1>, |e0>, |e1>
+        same_n = (np.subtract.outer(number, number) == 0).ravel()
+        v = np.zeros((4, 4), dtype=complex)
         if defect == "singular":
-            bad = np.zeros((16, 16), dtype=complex)
+            # Coherences between different N that neither decay nor rotate are stationary
+            # at the reference only.
+            v[0, 0] = 1.0
+            rates = same_n
         else:
-            # L x = v tr(x) - x has the unit-trace, non-positive kernel v.
-            v = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex).reshape(-1)
-            bad = np.outer(v, np.eye(4).reshape(-1)) - np.eye(16)
-        solve, stacks = lindblad.solve_stack, []
+            # L x = v tr(x) - x: the shifted kernel's coherence 0.6 / |1 - i d| makes it
+            # non-positive only within 0.66 rad/ns of the reference.
+            v[:2, :2] = [[0.5, 0.6], [0.6, 0.5]]
+            rates = np.ones(16)
+        bad = np.outer(v.reshape(-1), np.eye(4).reshape(-1)) - np.diag(rates)
+        monkeypatch.setattr(lindblad, "build_liouvillian", lambda *args: bad)
+        validate, validated = lindblad.validate_density_matrix, []
 
-        def corrupting(stack, norms, residual_tol):
-            stacks.append(len(stack))
-            if len(stacks) == 2:
-                stack[2:] = bad
-            return solve(stack, norms, residual_tol)
+        def counting(rho, context):
+            validated.append(len(rho))
+            return validate(rho, context)
 
-        monkeypatch.setattr(lindblad, "solve_stack", corrupting)
+        monkeypatch.setattr(lindblad, "validate_density_matrix", counting)
         params = make_system(g=0.0, kappa=2.0, gamma=0.5)
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, omega_rabi=1.0)
         grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 13)
         with pytest.raises(ScanError, match=f"at {grid[6]:.6f} nm") as caught:
             scan_laser(params, drive, grid, EmissionChannel.QD, 1, check_truncation=False)
-        assert stacks == [4, 4]
+        assert validated == ([4] if defect == "singular" else [4, 4])
         cause = caught.value.__cause__
         expected = NonUniqueSteadyStateError if defect == "singular" else NumericalError
         assert isinstance(cause, expected) and cause.index == 6
@@ -280,8 +289,8 @@ class TestShiftedGenerator:
     def test_scan_matches_per_point_assembly(
         self, g, kappa, gamma, gamma_d, delta, n_max, target, observe, transfer, points
     ):
-        # Cutoffs 3 and 4 solve 16 and 6 points per stack, so most grids end in a
-        # partial stack; the middle point is the reference and matches exactly.
+        # Cutoffs 1 to 4 solve at least 42 points to a batch, so each grid is one batch (splits
+        # are drawn in test_lindblad); the middle point is the reference and matches exactly.
         params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
         channels = IncoherentChannels(
             transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
@@ -298,6 +307,60 @@ class TestShiftedGenerator:
         expected = per_point_spectrum(params, drive, grid, observe, n_max, channels)
         np.testing.assert_allclose(data.y, expected, rtol=0.0, atol=1e-14 * expected.max())
         assert data.y[points // 2] == expected[points // 2]
+
+
+class TestOracle:
+    @settings(max_examples=25)
+    @given(
+        g=st.floats(0.0, 20.0),
+        kappa=st.floats(0.5, 30.0),
+        gamma=st.floats(0.1, 2.0),
+        gamma_d=st.floats(0.0, 3.0),
+        delta=st.floats(-100.0, 100.0),
+        n_max=st.integers(1, 6),
+        target=st.sampled_from(DriveTarget),
+        observe=st.sampled_from(EmissionChannel),
+        transfer=st.booleans(),
+        rabi_ghz=st.floats(0.1, 50.0),
+        points=st.integers(5, 41),
+    )
+    def test_scan_and_steady_state_match_the_oracle(
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, observe, transfer, rabi_ghz, points
+    ):
+        # Cutoffs 5 and 6 solve 24 and 15 points to a batch, so long grids split.  The
+        # oracle is the generator's SVD null vector, assembled afresh at each checked point.
+        params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
+        channels = IncoherentChannels(
+            transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
+            transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
+        )
+        centre = params.omega_d if target is DriveTarget.QD else params.omega_c
+        drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * rabi_ghz)
+        width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
+        grid = wavelength_window(centre, width, 6.0, points)
+        data = scan_laser(
+            params, drive, grid, observe, n_max, channels=channels, check_truncation=False
+        )
+
+        cavity = observe is EmissionChannel.CAVITY
+        if cavity:
+            lower = lift_cavity(annihilation(n_max), n_max)
+        else:
+            lower = lift_qd(qd_lowering(), n_max)
+        rate = params.kappa if cavity else params.gamma
+        # Nine points, the ends and the middle among them, span every batch of a long grid.
+        checked = np.unique(np.linspace(0, points - 1, 9).round().astype(int))
+        expected = []
+        for lam in grid[checked]:
+            point = drive.with_laser_frequency(wavelength_to_angular_frequency(float(lam)))
+            lv = build_liouvillian(build_hamiltonian(params, point, n_max), params, channels)
+            rho = steady_state_oracle(lv)
+            expected.append(np.trace(dagger(lower) @ lower @ rho).real)
+        # Compared as occupations: a dark channel's signal is round-off on either side.
+        expected = np.array(expected)
+        tol = 1e-12 + 1e-10 * expected.max()
+        np.testing.assert_allclose(data.y[checked] / (2.0 * rate), expected, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(steady_state(lv).rho, rho, rtol=0.0, atol=1e-10)
 
 
 class TestWindowSizing:
