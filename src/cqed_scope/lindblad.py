@@ -17,14 +17,13 @@ only detunings from the laser appear.  The generator is a plain complex
 
 Steady states come from one routine, :func:`solve_stack`: a block elimination over the
 ``2 * n_max + 3`` sectors of equal excitation difference, in which the generator is block
-tridiagonal.  A scan assembles its generator and gathers its blocks once, then solves its grid
-in batches (:func:`laser_scan_steady_states`); :func:`steady_state` is the one-point call.
+tridiagonal.  A scan gathers its blocks once and gets every point's state from one call, which
+batches internally (:func:`laser_scan_steady_states`); :func:`steady_state` is the one-point call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,16 +256,16 @@ def solve_stack(
     number: np.ndarray,
     offsets: np.ndarray,
     residual_tol: float = STEADY_RESIDUAL_TOL,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Unit-trace steady states of ``generator + d S`` at each offset ``d``, batch by batch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-trace steady states ``(rhos, residuals)`` of ``generator + d S`` at each offset ``d``.
 
     ``number`` is the diagonal of ``N = sigma^+ sigma + a^+ a``, and ``S = i (N_i - N_j)`` sits on
     the diagonal entry for ``rho_ij``: in the laser frame, moving the laser by ``d`` adds ``d S``.
     Every term of the generator but the coherent drive conserves ``m = N_i - N_j`` and the drive
     moves it by one, so in ``m`` order the generator is block tridiagonal, with ``S`` diagonal in
-    each block.  The blocks are gathered once (:class:`_Sectors`), then the points are solved in
-    batches whose Schur complements fit :data:`STACK_BYTES`, each yielded as ``(rhos,
-    residuals)``: elimination from both outer sectors in to ``m = 0``, then back-substitution.
+    each block.  The blocks are gathered once (:class:`_Sectors`), then every point is solved by
+    elimination from both outer sectors in to ``m = 0`` and back-substitution, internally in
+    batches whose Schur complements fit :data:`STACK_BYTES`; the whole grid comes back at once.
     The ``+m`` and ``-m`` halves are solved separately, so the Hermiticity guard tests the solve.
     A generator with an entry between sectors two or more apart is solved as one block, densely.
 
@@ -283,14 +282,16 @@ def solve_stack(
     shift_sq = np.vdot(sectors.shift, sectors.shift).real
     norms = np.sqrt(np.vdot(generator, generator).real + offsets * cross + offsets**2 * shift_sq)
     per_batch = max(1, STACK_BYTES // sectors.point_bytes)
+    solved = []
     for start in range(0, offsets.size, per_batch):
         batch = slice(start, start + per_batch)
         try:
-            solved = _checked(sectors, offsets[batch], norms[batch], residual_tol)
+            solved.append(_checked(sectors, offsets[batch], norms[batch], residual_tol))
         except NumericalError as exc:
             exc.index += start
             raise
-        yield solved
+    rhos, residuals = zip(*solved)
+    return np.concatenate(rhos), np.concatenate(residuals)
 
 
 def _checked(
@@ -342,7 +343,7 @@ def steady_state(liouvillian: np.ndarray, residual_tol: float = STEADY_RESIDUAL_
     """
     dim = math.isqrt(liouvillian.shape[0])
     number = np.add.outer((0.0, 1.0), np.arange(dim // 2)).ravel()
-    rhos, residuals = next(solve_stack(liouvillian, number, np.zeros(1), residual_tol))
+    rhos, residuals = solve_stack(liouvillian, number, np.zeros(1), residual_tol)
     reading = _read(rhos, _readout(dim // 2 - 1))[0]
     return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=_observables(reading))
 
@@ -372,15 +373,11 @@ def laser_scan_steady_states(
     number = (readout[0] + readout[1]).diagonal().real
     offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
     generator = build_liouvillian(ham, params, channels)
-    readings = np.empty((len(laser_omegas), 4), dtype=np.complex128)
-    start = 0
-    for rhos, residuals in solve_stack(generator, number, offsets, residual_tol):
-        readings[start : start + len(rhos)] = _read(rhos, readout)
-        if start <= middle < start + len(rhos):
-            j = middle - start
-            state = SteadyState(rhos[j], float(residuals[j]), _observables(readings[middle]))
-        start += len(rhos)
-    return readings, state
+    rhos, residuals = solve_stack(generator, number, offsets, residual_tol)
+    readings = _read(rhos, readout)
+    # A copy, so that holding the middle state does not hold the whole scan's states.
+    rho = rhos[middle].copy()
+    return readings, SteadyState(rho, float(residuals[middle]), _observables(readings[middle]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,14 @@ from .fit import (
 from .model import TWO_PI
 from .scan import synthesize_noisy
 
+#: Chained-fit grid: points across the saturation knee, points on the lever arm, its largest ``aP``.
+KNEE_POINTS = 60
+LEVER_POINTS = 60
+P_TILDE_MAX = 200.0
+
+#: Points of the saturation-calibration grid.
+SATURATION_POINTS = 200
+
 
 def saturation_curve(
     powers_uw: np.ndarray,
@@ -151,9 +159,7 @@ def excess_slope_fit(linewidths: SpectrumDataset, intrinsic_fwhm_ghz: float) -> 
     return fit_linear(excess_broadening(linewidths, TWO_PI * intrinsic_fwhm_ghz))
 
 
-def chained_fit_power_grid(
-    alpha_per_uw: float, knee_points: int = 60, lever_points: int = 60, p_tilde_max: float = 200.0
-) -> np.ndarray:
+def chained_fit_power_grid(alpha_per_uw: float) -> np.ndarray:
     """Power grid tuned for the chained linewidth fit.
 
     Log-spaced points across the saturation knee pin the low-power
@@ -163,15 +169,13 @@ def chained_fit_power_grid(
     """
     if not alpha_per_uw > 0.0:
         raise ValueError("alpha_per_uw must be > 0")
-    if knee_points < 2 or lever_points < 2:
-        raise ValueError("need at least 2 points per grid section")
-    knee = np.geomspace(0.01 / alpha_per_uw, 5.0 / alpha_per_uw, knee_points)
-    root = np.linspace(np.sqrt(6.0), np.sqrt(1.0 + p_tilde_max), lever_points)
+    knee = np.geomspace(0.01 / alpha_per_uw, 5.0 / alpha_per_uw, KNEE_POINTS)
+    root = np.linspace(np.sqrt(6.0), np.sqrt(1.0 + P_TILDE_MAX), LEVER_POINTS)
     lever = (root**2 - 1.0) / alpha_per_uw
     return np.unique(np.concatenate([knee, lever]))
 
 
-def saturation_power_grid(alpha_per_uw: float, points: int = 200) -> np.ndarray:
+def saturation_power_grid(alpha_per_uw: float) -> np.ndarray:
     """Dense log-spaced power grid spanning well below to far above the knee.
 
     The calibration constant is the noise-limiting input of the chained
@@ -180,6 +184,4 @@ def saturation_power_grid(alpha_per_uw: float, points: int = 200) -> np.ndarray:
     """
     if not alpha_per_uw > 0.0:
         raise ValueError("alpha_per_uw must be > 0")
-    if points < 5:
-        raise ValueError("need at least 5 points")
-    return np.geomspace(0.01 / alpha_per_uw, 200.0 / alpha_per_uw, points)
+    return np.geomspace(0.01 / alpha_per_uw, 200.0 / alpha_per_uw, SATURATION_POINTS)

@@ -5,7 +5,8 @@ given wavelength; the recorded signal is the photon flux of the observed
 decay channel, ``2*kappa*<a^+a>`` for cavity emission or
 ``2*gamma*<sigma^+sigma>`` for direct dot emission.  Only the laser
 frequency changes along a scan, so each scan assembles one Liouvillian and
-solves copies of it shifted to the grid points, a stack of them at a time.
+gets the steady states of its copies shifted to every grid point back from one
+call, which batches them internally.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .dataset import ScanKind, SpectrumDataset
 from .errors import ConfigError, NumericalError, ScanError, TruncationError
 from .lindblad import (
     STEADY_RESIDUAL_TOL,
-    SteadyState,
     laser_scan_steady_states,
     steady_state,  # noqa: F401  bench/spans.py traces standalone solves through this name too
     truncation_change,
@@ -50,37 +50,6 @@ GRID_GUARD_NM = 5.0
 class EmissionChannel(enum.Enum):
     CAVITY = "cavity"
     QD = "qd"
-
-
-def _emission(
-    params: SystemParams,
-    drive_template: DriveSpec,
-    channels: IncoherentChannels | None,
-    observe: EmissionChannel,
-    n_max: int,
-    wavelengths_nm: np.ndarray,
-    residual_tol: float,
-) -> tuple[np.ndarray, SteadyState]:
-    """Emission signal at each wavelength and the middle point's steady state.
-
-    The middle point is the unshifted reference; returning frees the generator before a check.
-    """
-    cavity = observe is EmissionChannel.CAVITY
-    rate, column = (params.kappa, 0) if cavity else (params.gamma, 1)
-    omegas = [wavelength_to_angular_frequency(float(lam)) for lam in wavelengths_nm]
-    try:
-        readings, middle = laser_scan_steady_states(
-            params, drive_template, n_max, channels, omegas, residual_tol
-        )
-    except NumericalError as exc:
-        lam = wavelengths_nm[exc.index]
-        raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
-    values = 2.0 * rate * readings[:, column].real
-    negative = np.flatnonzero(values < -1e-12)
-    if negative.size:
-        j = negative[0]
-        raise ScanError(f"negative emission signal {values[j]:.3e} at {wavelengths_nm[j]:.6f} nm")
-    return np.maximum(values, 0.0), middle
 
 
 def scan_laser(
@@ -125,10 +94,22 @@ def scan_laser(
                 f"(limit {GRID_GUARD_NM} nm); check units"
             )
 
-    signal, middle = _emission(params, drive_template, channels, observe, n_max, grid, residual_tol)
+    rate, column = (params.gamma, 1) if observe is EmissionChannel.QD else (params.kappa, 0)
+    omegas = [wavelength_to_angular_frequency(float(lam)) for lam in grid]
+    try:
+        readings, middle = laser_scan_steady_states(
+            params, drive_template, n_max, channels, omegas, residual_tol
+        )
+    except NumericalError as exc:
+        lam = grid[exc.index]
+        raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
+    signal = 2.0 * rate * readings[:, column].real
+    negative = np.flatnonzero(signal < -1e-12)
+    if negative.size:
+        j = negative[0]
+        raise ScanError(f"negative emission signal {signal[j]:.3e} at {grid[j]:.6f} nm")
     if check_truncation:
-        centre = wavelength_to_angular_frequency(float(grid[grid.size // 2]))
-        probe = drive_template.with_laser_frequency(centre)
+        probe = drive_template.with_laser_frequency(omegas[grid.size // 2])
         converged, change = truncation_change(middle, params, probe, channels, residual_tol)
         if not converged:
             raise TruncationError(f"cutoff {n_max} not converged (change {change:.2e}); increase it")
@@ -136,7 +117,7 @@ def scan_laser(
     return SpectrumDataset(
         kind=ScanKind.LASER_WAVELENGTH,
         x=grid,
-        y=signal,
+        y=np.maximum(signal, 0.0),
         x_unit="nm",
         y_unit="intensity",
         meta={
@@ -285,7 +266,7 @@ def power_sweep(
 
 
 def synthesize_noisy(dataset: SpectrumDataset, relative_noise: float, seed: int) -> SpectrumDataset:
-    """Multiplicative Gaussian noise: ``y * (1 + relative_noise * u)``.
+    """Multiplicative noise: ``y * max(0, 1 + relative_noise * u)``, a Gaussian truncated at zero.
 
     ``u`` are standard normal draws from a generator seeded with ``seed``,
     so the output is bit-for-bit reproducible.  ``relative_noise`` must lie
@@ -294,7 +275,7 @@ def synthesize_noisy(dataset: SpectrumDataset, relative_noise: float, seed: int)
     if not 0.0 <= relative_noise <= 0.5:
         raise ValueError(f"relative noise must be within [0, 0.5], got {relative_noise}")
     rng = np.random.default_rng(seed)
-    factors = 1.0 + relative_noise * rng.standard_normal(dataset.y.size)
+    factors = np.maximum(1.0 + relative_noise * rng.standard_normal(dataset.y.size), 0.0)
     meta = dict(dataset.meta)
     meta.update({"relative_noise": relative_noise, "noise_seed": seed})
     return SpectrumDataset(

@@ -194,12 +194,6 @@ def trace_kernel_generator(v, rates):
     return np.outer(v.reshape(-1), np.eye(dim).reshape(-1)) - np.diag(rates).astype(complex)
 
 
-def solve_all(generator, number, offsets, residual_tol=lindblad.STEADY_RESIDUAL_TOL):
-    """Every batch of :func:`solve_stack`, joined: ``(rhos, residuals)``."""
-    rhos, residuals = zip(*solve_stack(generator, number, offsets, residual_tol))
-    return np.concatenate(rhos), np.concatenate(residuals)
-
-
 def random_system(g, kappa, gamma, gamma_d, delta, transfer):
     params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
     channels = IncoherentChannels(
@@ -235,7 +229,7 @@ class TestSolveStack:
         number, offsets = excitations(n_max), omegas - centre
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lindblad, "STACK_BYTES", stack_bytes)
-            rhos, residuals = solve_all(reference, number, offsets)
+            rhos, residuals = solve_stack(reference, number, offsets)
             scales = []
             for omega, rho, residual in zip(omegas, rhos, residuals):
                 ham = build_hamiltonian(params, drive.with_laser_frequency(omega), n_max)
@@ -249,9 +243,9 @@ class TestSolveStack:
             ratios = residuals / np.array(scales)
             j = int(np.argmax(ratios))
             assume(ratios[j] > 0.0)
-            solve_all(reference, number, offsets, residual_tol=ratios[j] * (1.0 + 1e-9))
+            solve_stack(reference, number, offsets, residual_tol=ratios[j] * (1.0 + 1e-9))
             with pytest.raises(NumericalError, match="residual") as caught:
-                solve_all(reference, number, offsets, residual_tol=ratios[j] * (1.0 - 1e-9))
+                solve_stack(reference, number, offsets, residual_tol=ratios[j] * (1.0 - 1e-9))
             assert caught.value.index == j
 
     def test_slices_match_single_solves(self, monkeypatch):
@@ -263,10 +257,10 @@ class TestSolveStack:
         )
         number = excitations(3)
         offsets = TWO_PI * np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 7.0, 11.0])
-        rhos, residuals = solve_all(generator, number, offsets)
+        rhos, residuals = solve_stack(generator, number, offsets)
         shift = laser_shift(number)
         for offset, rho, residual in zip(offsets, rhos, residuals):
-            single, single_residual = solve_all(
+            single, single_residual = solve_stack(
                 generator + np.diag(offset * shift), number, np.zeros(1)
             )
             assert np.array_equal(rho, single[0])
@@ -281,7 +275,7 @@ class TestSolveStack:
         for stack_bytes in (lindblad.STACK_BYTES, 1):
             monkeypatch.setattr(lindblad, "STACK_BYTES", stack_bytes)
             with pytest.raises(NonUniqueSteadyStateError, match="singular") as caught:
-                solve_all(generator, number, np.array([1.0, 2.0, 0.0, -1.0, 0.0]))
+                solve_stack(generator, number, np.array([1.0, 2.0, 0.0, -1.0, 0.0]))
             assert caught.value.index == 2
 
     def test_non_positive_slice_is_located(self, monkeypatch):
@@ -289,12 +283,12 @@ class TestSolveStack:
         v = np.zeros((4, 4), dtype=complex)
         v[:2, :2] = [[0.5, 0.6], [0.6, 0.5]]
         generator = trace_kernel_generator(v, np.ones(16))
-        rhos, _ = solve_all(generator, excitations(1), np.array([2.0, -1.0]))
+        rhos, _ = solve_stack(generator, excitations(1), np.array([2.0, -1.0]))
         assert np.linalg.eigvalsh(rhos).min() > -1e-15
         for stack_bytes in (lindblad.STACK_BYTES, 1):
             monkeypatch.setattr(lindblad, "STACK_BYTES", stack_bytes)
             with pytest.raises(NumericalError, match="negative eigenvalue") as caught:
-                solve_all(generator, excitations(1), np.array([2.0, -1.0, 0.5, 0.0]))
+                solve_stack(generator, excitations(1), np.array([2.0, -1.0, 0.5, 0.0]))
             assert caught.value.index == 2
 
     @settings(max_examples=40)

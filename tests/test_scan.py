@@ -178,6 +178,21 @@ class TestScanLaser:
         with pytest.raises(TypeError, match="injected bug"):
             scan_laser(params, drive, grid, EmissionChannel.QD, 1, check_truncation=False)
 
+    def test_spectrum_does_not_depend_on_the_batch_budget(self, monkeypatch):
+        # At cutoff 3 the budgets put one point, two points and 82 points to a batch.
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5, delta=1.0)
+        drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, omega_rabi=TWO_PI * 1.0)
+        grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 201)
+        spectra = []
+        for stack_bytes in (1, 1 << 15, lindblad.STACK_BYTES):
+            monkeypatch.setattr(lindblad, "STACK_BYTES", stack_bytes)
+            data = scan_laser(
+                params, drive, grid, EmissionChannel.CAVITY, 3, check_truncation=False
+            )
+            spectra.append(data.y)
+        assert spectra[0].max() > 0.0
+        assert all(np.array_equal(spectra[0], y) for y in spectra[1:])
+
     @pytest.mark.parametrize("defect", ["singular", "non-positive"])
     def test_failure_in_a_later_stack_names_its_wavelength(self, monkeypatch, defect):
         # At cutoff 1 (sectors of 1, 4, 6, 4 and 1 unknowns) a point's Schur complements take
@@ -534,6 +549,14 @@ class TestSynthesizeNoisy:
         noisy = synthesize_noisy(data, 0.05, seed=42)
         ratio = noisy.y / data.y - 1.0
         assert float(np.std(ratio)) == pytest.approx(0.05, rel=0.05)
+
+    def test_largest_noise_is_truncated_at_zero(self):
+        # At 0.5 a draw below -2 makes the Gaussian factor negative: about 2 % of the points.
+        data = self.base_dataset(points=10_000)
+        noisy = synthesize_noisy(data, 0.5, seed=3)
+        u = np.random.default_rng(3).standard_normal(10_000)
+        assert np.count_nonzero(u < -2.0) > 100
+        assert np.array_equal(noisy.y, data.y * np.maximum(1.0 + 0.5 * u, 0.0))
 
     @pytest.mark.parametrize("bad", [-0.01, 0.51, 1.0])
     def test_noise_fraction_range_enforced(self, bad):
