@@ -17,8 +17,10 @@ only detunings from the laser appear.  The generator is a plain complex
 
 Steady states come from one routine, :func:`solve_stack`: a block elimination over the
 ``2 * n_max + 3`` sectors of equal excitation difference, in which the generator is block
-tridiagonal.  A scan gathers its blocks once and gets every point's state from one call, which
-batches internally (:func:`laser_scan_steady_states`); :func:`steady_state` is the one-point call.
+tridiagonal.  The generator maps ``rho^+`` to ``(L rho)^+``, so only the ``m >= 0`` half is
+solved and ``rho_{-m} = rho_m^+``.  A scan gathers its blocks once and gets every point's state
+from one call, which batches internally (:func:`laser_scan_steady_states`); :func:`steady_state`
+is the one-point call.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ STEADY_RESIDUAL_TOL = 1e-9
 #: Relative change in occupations under a cutoff increase that counts as converged.
 TRUNCATION_RTOL = 1e-8
 
-#: Schur-complement bytes per batch of scan points: 82 points at cutoff 3, 2 at 13, 1 from 14 up.
+#: Stored factor bytes per batch of scan points: 132 points at cutoff 3, 3 at 13 and 14,
+#: 2 at 15 and 16, 1 from 17 up.
 STACK_BYTES = 1 << 20
 
 
@@ -182,8 +185,10 @@ class _Sectors:
     """A generator's blocks between excitation-difference sectors, gathered once.
 
     The unknown ``rho_ij`` sits in sector ``m = rint(N_i - N_j)``; sectors are numbered in ``m``
-    order and ``blocks[r, s]`` couples neighbours.  Sector ``inner[s]`` is the neighbour of ``s``
-    towards the centre ``m = 0``, where the trace row replaces the equation for element (0, 0).
+    order and ``blocks[r, s]`` couples neighbours.  Swapping ``i`` and ``j`` negates ``m``, so
+    the sectors mirror about the centre ``m = 0``, where the trace row replaces the equation for
+    element (0, 0).  ``mirror[s]`` holds the flat index of the transpose of each unknown of a
+    ``+m`` sector, and ``swap`` the position of each centre unknown's transpose in the centre.
     A generator with any entry between sectors two or more apart is kept as one sector.
     """
 
@@ -199,14 +204,14 @@ class _Sectors:
         values = np.unique(labels)
         self.parts = [np.flatnonzero(labels == m) for m in values]
         self.centre = centre = int(np.searchsorted(values, 0))
-        self.inner = {s: s + 1 if s < centre else s - 1 for s in range(len(values)) if s != centre}
-        # Eliminated from both outer ends inward, then back-substituted in reverse.
-        self.order = [*range(centre), *range(len(values) - 1, centre, -1)]
         self.blocks = {
             (r, s): generator[np.ix_(self.parts[r], self.parts[s])]
             for r in range(len(values))
             for s in range(max(r - 1, 0), min(r + 2, len(values)))
         }
+        transpose = np.arange(size).reshape(number.size, number.size).T.ravel()
+        self.mirror = {s: transpose[self.parts[s]] for s in range(centre + 1, len(values))}
+        self.swap = np.searchsorted(self.parts[centre], transpose[self.parts[centre]])
         # Element (0, 0) leads the centre sector, and the diagonal of rho lies wholly inside it.
         self.row0 = generator[0]
         for (r, _), block in self.blocks.items():
@@ -214,27 +219,36 @@ class _Sectors:
                 block[0] = 0.0
         trace = np.searchsorted(self.parts[centre], np.arange(number.size) * (number.size + 1))
         self.blocks[centre, centre][0, trace] = 1.0
-        stored = sum(self.blocks[s, t].size for s, t in self.inner.items())
+        stored = sum(self.blocks[s, s - 1].size for s in self.mirror)
         self.point_bytes = 16 * (stored + self.blocks[centre, centre].size)
 
     def solve(self, steps: np.ndarray) -> np.ndarray:
-        """Solutions ``(k, size)`` of the trace-constrained systems at each offset."""
+        """Solutions ``(k, size)`` of the trace-constrained systems at each offset.
+
+        Only the ``+m`` sectors are eliminated, outermost first.  Each ``-m`` system is the
+        conjugate of its ``+m`` mirror under the transpose, so the centre's Schur complement takes
+        the ``-m`` half through ``swap`` and ``rho_{-m} = rho_m^+`` is filled through ``mirror``.
+        """
+        centre, last = self.centre, len(self.parts) - 1
         factors = {}
-        for s in [*self.order, self.centre]:
+        for s in range(last, centre - 1, -1):
             n = len(self.parts[s])
             schur = np.repeat(self.blocks[s, s][None], steps.size, axis=0)
             schur.reshape(steps.size, -1)[:, :: n + 1] += steps[:, None] * self.shift[self.parts[s]]
-            for t in (s - 1, s + 1):
-                if t in factors:  # an eliminated outer neighbour
-                    schur -= self.blocks[s, t] @ factors[t]
-            rhs = np.eye(n, 1) if s == self.centre else self.blocks[s, self.inner[s]]
+            if s < last:
+                coupled = self.blocks[s, s + 1] @ factors[s + 1]
+                schur -= coupled
+                if s == centre:
+                    schur -= coupled.conj()[:, self.swap][:, :, self.swap]
+            rhs = np.eye(n, 1) if s == centre else self.blocks[s, s - 1]
             factors[s] = _solve_batch(schur, rhs)
-        xs = {self.centre: factors[self.centre]}
-        for s in reversed(self.order):
-            xs[s] = -(factors[s] @ xs[self.inner[s]])
         vecs = np.empty((steps.size, self.row0.size), dtype=np.complex128)
-        for s, x in xs.items():
+        x = factors[centre]
+        vecs[:, self.parts[centre]] = x[:, :, 0]
+        for s, mirror in self.mirror.items():
+            x = -(factors[s] @ x)
             vecs[:, self.parts[s]] = x[:, :, 0]
+            vecs[:, mirror] = x[:, :, 0].conj()
         return vecs
 
     def apply(self, steps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -264,15 +278,19 @@ def solve_stack(
     Every term of the generator but the coherent drive conserves ``m = N_i - N_j`` and the drive
     moves it by one, so in ``m`` order the generator is block tridiagonal, with ``S`` diagonal in
     each block.  The blocks are gathered once (:class:`_Sectors`), then every point is solved by
-    elimination from both outer sectors in to ``m = 0`` and back-substitution, internally in
-    batches whose Schur complements fit :data:`STACK_BYTES`; the whole grid comes back at once.
-    The ``+m`` and ``-m`` halves are solved separately, so the Hermiticity guard tests the solve.
-    A generator with an entry between sectors two or more apart is solved as one block, densely.
+    elimination from the outermost ``+m`` sector in to ``m = 0`` and back-substitution, internally
+    in batches whose stored factors fit :data:`STACK_BYTES`; the whole grid comes back at once.
+    A Lindblad generator and the shift both map ``rho^+`` to ``(L rho)^+``, so each ``-m`` sector
+    is filled as the conjugate transpose of its ``+m`` mirror rather than solved.  A generator
+    with an entry between sectors two or more apart is solved as one block, densely.
 
     The guards run over every batch: Hermiticity and unit trace (a degenerate steady manifold,
     also signalled by a singular block, raises
     :class:`~cqed_scope.errors.NonUniqueSteadyStateError`), the residual
-    ``||L rho|| <= residual_tol * max(1, ||L||_F)``, and positivity.  The Frobenius norms follow
+    ``||L rho|| <= residual_tol * max(1, ||L||_F)``, and positivity.  Outside ``m = 0`` a state is
+    Hermitian by construction, so the Hermiticity guard tests only the centre's solve; the
+    residual applies the full generator, ``-m`` blocks included, so it catches a generator that
+    does not preserve Hermiticity.  The Frobenius norms follow
     in closed form, ``||L0 + d S||**2 = ||L0||**2 + 2 d Re<diag L0, S> + d**2 ||S||**2``.  An
     error describes the first failing point and carries its position in ``offsets`` as ``index``.
     """

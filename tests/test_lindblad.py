@@ -291,6 +291,73 @@ class TestSolveStack:
                 solve_stack(generator, excitations(1), np.array([2.0, -1.0, 0.5, 0.0]))
             assert caught.value.index == 2
 
+    @settings(max_examples=60)
+    @given(
+        g=st.floats(0.0, 20.0),
+        kappa=st.floats(0.5, 30.0),
+        gamma=st.floats(0.1, 2.0),
+        gamma_d=st.floats(0.0, 3.0),
+        delta=st.floats(-100.0, 100.0),
+        n_max=st.integers(1, 6),
+        target=st.sampled_from(DriveTarget),
+        transfer=st.booleans(),
+        offsets_ghz=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=5),
+        stack_bytes=st.sampled_from([1, 1 << 13, 1 << 15, lindblad.STACK_BYTES]),
+    )
+    def test_states_mirror_their_plus_m_half_and_match_the_oracle(
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, offsets_ghz, stack_bytes
+    ):
+        # Only the +m sectors and the centre are solved; each -m sector is filled as the
+        # conjugate transpose, so outside m = 0 the mirror holds bit for bit.
+        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
+        centre = params.omega_d if target is DriveTarget.QD else params.omega_c
+        drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * 1.0)
+        generator = build_liouvillian(build_hamiltonian(params, drive, n_max), params, channels)
+        number = excitations(n_max)
+        shift = laser_shift(number)
+        offsets = TWO_PI * np.array(offsets_ghz)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lindblad, "STACK_BYTES", stack_bytes)
+            rhos, _ = solve_stack(generator, number, offsets)
+        outside = np.rint(shift.imag).reshape(number.size, number.size) != 0.0
+        raw = lindblad._Sectors(generator, number).solve(offsets).reshape(rhos.shape)
+        for offset, rho, solved in zip(offsets, rhos, raw):
+            assert np.array_equal(rho.T[outside], rho[outside].conj())
+            assert np.array_equal(solved.T[outside], solved[outside].conj())
+            oracle = steady_state_oracle(generator + np.diag(offset * shift))
+            np.testing.assert_allclose(rho, oracle, rtol=0.0, atol=1e-12)
+
+    def test_corrupted_mirror_block_trips_the_residual_guard(self, monkeypatch):
+        # The solve never reads a -m block; the residual guard applies every gathered block, so a
+        # generator that breaks L(rho^+) = L(rho)^+ fails there.  Four points to a batch.
+        monkeypatch.setattr(lindblad, "STACK_BYTES", 1 << 15)
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
+        generator = build_liouvillian(
+            build_hamiltonian(params, cavity_drive(params.omega_c, TWO_PI * 3.0), 3), params
+        )
+        number = excitations(3)
+        shift = laser_shift(number)
+        offsets = TWO_PI * np.array([-300.0, 200.0, -150.0, 100.0, 0.0, 5.0, -40.0])
+        rhos, _ = solve_stack(generator, number, offsets)
+
+        # The coupling g of rho_{g0,e0} into the equation of rho_{g0,g1}, both in sector m = -1.
+        dim = number.size
+        row = basis_index(0, 0, 3) * dim + basis_index(0, 1, 3)
+        col = basis_index(0, 0, 3) * dim + basis_index(1, 0, 3)
+        assert shift[row] == shift[col] == -1j
+        bad = generator.copy()
+        bad[row, col] *= 1.0 + 1e-6
+        # Independently: the first point whose state the corrupted generator does not annihilate.
+        ratios = []
+        for offset, rho in zip(offsets, rhos):
+            shifted = bad + np.diag(offset * shift)
+            ratios.append(np.linalg.norm(shifted @ rho.reshape(-1)) / np.linalg.norm(shifted))
+        first = int(np.flatnonzero(np.array(ratios) > lindblad.STEADY_RESIDUAL_TOL)[0])
+        assert first == 4
+        with pytest.raises(NumericalError, match="residual") as caught:
+            solve_stack(bad, number, offsets)
+        assert caught.value.index == first
+
     @settings(max_examples=40)
     @given(
         g=st.floats(0.0, 20.0),

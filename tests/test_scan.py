@@ -195,10 +195,11 @@ class TestScanLaser:
 
     @pytest.mark.parametrize("defect", ["singular", "non-positive"])
     def test_failure_in_a_later_stack_names_its_wavelength(self, monkeypatch, defect):
-        # At cutoff 1 (sectors of 1, 4, 6, 4 and 1 unknowns) a point's Schur complements take
-        # 16 * (2 * (4 * 6 + 1 * 4) + 6 * 6) = 1472 bytes: four points to a batch, so the
-        # middle point 6, the unshifted reference, is the third of the second batch.
-        monkeypatch.setattr(lindblad, "STACK_BYTES", 4 * 1472)
+        # At cutoff 1 (sectors of 1, 4, 6, 4 and 1 unknowns) a point stores its +m factors and
+        # the centre's Schur complement, 16 * (4 * 6 + 1 * 4 + 6 * 6) = 1024 bytes: four points
+        # to a batch, so the middle point 6, the unshifted reference, is the third of the
+        # second batch.
+        monkeypatch.setattr(lindblad, "STACK_BYTES", 4 * 1024)
         number = np.array([0, 1, 1, 2])  # N of |g0>, |g1>, |e0>, |e1>
         same_n = (np.subtract.outer(number, number) == 0).ravel()
         v = np.zeros((4, 4), dtype=complex)
