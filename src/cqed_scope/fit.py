@@ -315,7 +315,7 @@ def fit_saturation(data: SpectrumDataset) -> FitResult:
         denom = 1.0 + alpha * x
         cols = np.empty((x.size, 2))
         cols[:, 0] = alpha * x / denom
-        cols[:, 1] = i_sat * x / denom**2
+        cols[:, 1] = i_sat * (x / denom) / denom  # denom**2 overflows at large alpha
         return cols
 
     p0 = np.array([1.5 * float(y.max()), 1.0 / float(np.median(x[x > 0.0]))])

@@ -11,16 +11,19 @@ the off-diagonal decay rate is exactly ``gamma + gamma_d``) and, optionally,
 one-way incoherent transfer terms ``D[a^+ sigma]`` / ``D[sigma^+ a]``.
 
 The Hamiltonian is written in the frame rotating at the laser frequency, so
-only detunings from the laser appear.  The generator is a plain complex
-``dim**2 x dim**2`` array acting on the row-major flattening of rho:
-``vec(A rho B) = (A kron B^T) vec(rho)``.
+only detunings from the laser appear.  The generator acts on the row-major
+flattening of rho, ``vec(A rho B) = (A kron B^T) vec(rho)``, and about 1 % of its
+``dim**2 x dim**2`` entries are non-zero.  :func:`liouvillian_entries` lists them as
+``(size, rows, cols, values)`` straight from ``H`` and the collapse operators; scans and the
+cutoff probe work from that list alone.  :func:`build_liouvillian` scatters it into the dense
+complex array that :func:`evolve` takes.
 
 Steady states come from one routine, :func:`solve_stack`: a block elimination over the
 ``2 * n_max + 3`` sectors of equal excitation difference, in which the generator is block
 tridiagonal.  The generator maps ``rho^+`` to ``(L rho)^+``, so only the ``m >= 0`` half is
-solved and ``rho_{-m} = rho_m^+``.  A scan gathers its blocks once and gets every point's state
-from one call, which batches internally (:func:`laser_scan_steady_states`); :func:`steady_state`
-is the one-point call.
+solved and ``rho_{-m} = rho_m^+``.  A scan gathers its blocks once from the list and gets every
+point's state from one call, which batches internally (:func:`laser_scan_steady_states`);
+:func:`steady_state` is the one-point call.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ TRUNCATION_RTOL = 1e-8
 #: 2 at 15 and 16, 1 from 17 up.
 STACK_BYTES = 1 << 20
 
+#: A generator's non-zeros ``(size, rows, cols, values)``: ``L[rows, cols] = values``.
+Entries = tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
 
 def _ladder(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """``(sigma, a)`` on the dot x Fock space with photon cutoff ``n_max``."""
@@ -79,24 +85,25 @@ def build_hamiltonian(params: SystemParams, drive: DriveSpec, n_max: int) -> np.
     return ham
 
 
-def assemble_liouvillian(
+def liouvillian_entries(
     hamiltonian: np.ndarray, collapse_terms: list[tuple[float, np.ndarray]]
-) -> np.ndarray:
-    """Build the superoperator matrix from a Hamiltonian and collapse terms.
+) -> Entries:
+    """The generator's non-zeros ``(size, rows, cols, values)``, sorted row-major.
 
     Rates must be non-negative; zero-rate terms are dropped.  With ``D = sum_k r_k C_k^+ C_k / 2``
     the generator is ``K kron 1 + 1 kron R^T + sum_k r_k C_k kron conj(C_k)``, where
     ``K = -i H - D`` acts on rho from the left and ``R = i H - D`` from the right
-    (``R^T = conj(K)`` when ``H`` is Hermitian).  It is written in place on the
-    ``(dim, dim, dim, dim)`` view whose entry ``[i, j, k, l]`` weighs ``rho_kl`` in ``(L rho)_ij``:
-    the one-sided terms through strided diagonals, each jump term one non-zero of ``C_k`` at a time.
+    (``R^T = conj(K)`` when ``H`` is Hermitian).  Each jump term lists the products
+    ``(r_k C_ik) * conj(C_jl)`` over the non-zeros of ``C_k``, and ``K`` and ``R^T`` their
+    non-zeros repeated over the spectator index.  Entries at one place are summed in jump-term
+    order, then ``K``, then ``R^T``, onto zero, which is the order of a dense ``+=`` assembly, so
+    every value keeps its bits; sums that are exactly zero are dropped.
     """
     if hamiltonian.ndim != 2 or hamiltonian.shape[0] != hamiltonian.shape[1]:
         raise ValueError(f"hamiltonian must be square, got shape {hamiltonian.shape}")
     dim = hamiltonian.shape[0]
-    matrix = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    view = matrix.reshape(dim, dim, dim, dim)
     decay = np.zeros((dim, dim), dtype=np.complex128)
+    parts = []
     for rate, op in collapse_terms:
         if rate < 0.0:
             raise ValueError(f"collapse rate must be >= 0, got {rate}")
@@ -105,12 +112,62 @@ def assemble_liouvillian(
         if rate == 0.0:
             continue
         decay += 0.5 * rate * (dagger(op) @ op)
-        conj = op.conj()
-        for i, k in zip(*np.nonzero(op)):
-            view[i, :, k, :] += rate * op[i, k] * conj
-    np.einsum("ijkj->ijk", view)[...] += (-1j * hamiltonian - decay)[:, None, :]
-    np.einsum("ijil->ijl", view)[...] += (1j * hamiltonian - decay).T
+        i, k = np.nonzero(op)
+        parts.append((np.add.outer(i * dim, i), np.add.outer(k * dim, k),
+                      np.multiply.outer(rate * op[i, k], op[i, k].conj())))
+    spectator = np.arange(dim)
+    left = -1j * hamiltonian - decay
+    i, k = np.nonzero(left)
+    parts.append((np.add.outer(i * dim, spectator), np.add.outer(k * dim, spectator),
+                  np.repeat(left[i, k], dim)))
+    right = (1j * hamiltonian - decay).T
+    j, l = np.nonzero(right)
+    parts.append((np.add.outer(spectator * dim, j), np.add.outer(spectator * dim, l),
+                  np.tile(right[j, l], dim)))
+    rows, cols, values = (np.concatenate([part[n].ravel() for part in parts]) for n in range(3))
+    size = dim * dim
+    keys, place = np.unique(rows * size + cols, return_inverse=True)
+    summed = np.zeros(keys.size, dtype=np.complex128)
+    np.add.at(summed, place, values)
+    kept = summed != 0.0
+    rows, cols = np.divmod(keys[kept], size)
+    return size, rows, cols, summed[kept]
+
+
+def _listed(generator: Entries | np.ndarray) -> Entries:
+    """A generator as its non-zeros; a dense array is listed row-major."""
+    if isinstance(generator, tuple):
+        return generator
+    rows, cols = np.nonzero(generator)
+    return generator.shape[0], rows, cols, generator[rows, cols]
+
+
+def assemble_liouvillian(
+    hamiltonian: np.ndarray, collapse_terms: list[tuple[float, np.ndarray]]
+) -> np.ndarray:
+    """The dense ``dim**2 x dim**2`` generator: :func:`liouvillian_entries` scattered onto zero."""
+    size, rows, cols, values = liouvillian_entries(hamiltonian, collapse_terms)
+    matrix = np.zeros((size, size), dtype=np.complex128)
+    matrix[rows, cols] = values
     return matrix
+
+
+def _collapse_terms(
+    hamiltonian: np.ndarray, params: SystemParams, channels: IncoherentChannels | None
+) -> list[tuple[float, np.ndarray]]:
+    """The rates and jump operators of one dot-cavity system on the space of ``hamiltonian``."""
+    dim = hamiltonian.shape[0]
+    if dim % 2 != 0 or dim < 4:
+        raise ValueError(f"expected a dot x Fock space of even dimension >= 4, got {dim}")
+    channels = channels or IncoherentChannels()
+    sm, a = _ladder(dim // 2 - 1)
+    return [
+        (2.0 * params.kappa, a),
+        (2.0 * params.gamma, sm),
+        (2.0 * params.gamma_d, dagger(sm) @ sm),
+        (channels.transfer_qd_to_cavity, dagger(a) @ sm),
+        (channels.transfer_cavity_to_qd, dagger(sm) @ a),
+    ]
 
 
 def build_liouvillian(
@@ -118,21 +175,8 @@ def build_liouvillian(
     params: SystemParams,
     channels: IncoherentChannels | None = None,
 ) -> np.ndarray:
-    """Assemble the full dissipative generator for one dot-cavity system."""
-    dim = hamiltonian.shape[0]
-    if dim % 2 != 0 or dim < 4:
-        raise ValueError(f"expected a dot x Fock space of even dimension >= 4, got {dim}")
-    channels = channels or IncoherentChannels()
-
-    sm, a = _ladder(dim // 2 - 1)
-    terms = [
-        (2.0 * params.kappa, a),
-        (2.0 * params.gamma, sm),
-        (2.0 * params.gamma_d, dagger(sm) @ sm),
-        (channels.transfer_qd_to_cavity, dagger(a) @ sm),
-        (channels.transfer_cavity_to_qd, dagger(sm) @ a),
-    ]
-    return assemble_liouvillian(hamiltonian, terms)
+    """Assemble the full dissipative generator for one dot-cavity system, densely."""
+    return assemble_liouvillian(hamiltonian, _collapse_terms(hamiltonian, params, channels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,45 +226,56 @@ def _solve_batch(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class _Sectors:
-    """A generator's blocks between excitation-difference sectors, gathered once.
+    """A generator's blocks between excitation-difference sectors, gathered once from its list.
 
     The unknown ``rho_ij`` sits in sector ``m = rint(N_i - N_j)``; sectors are numbered in ``m``
     order and ``blocks[r, s]`` couples neighbours.  Swapping ``i`` and ``j`` negates ``m``, so
-    the sectors mirror about the centre ``m = 0``, where the trace row replaces the equation for
-    element (0, 0).  ``mirror[s]`` holds the flat index of the transpose of each unknown of a
-    ``+m`` sector, and ``swap`` the position of each centre unknown's transpose in the centre.
-    A generator with any entry between sectors two or more apart is kept as one sector.
+    the sectors mirror about the centre ``m = 0``; only the blocks of the centre and the ``+m``
+    sectors are gathered, and the trace row replaces the equation for element (0, 0).
+    ``mirror[s]`` holds the flat index of the transpose of each unknown of a ``+m`` sector, and
+    ``swap`` the position of each centre unknown's transpose in the centre.  A generator with any
+    entry between sectors two or more apart is kept as one sector.
     """
 
-    def __init__(self, generator: np.ndarray, number: np.ndarray) -> None:
-        size = generator.shape[0]
+    def __init__(self, generator: Entries, number: np.ndarray) -> None:
+        size, rows, cols, values = generator
         if number.size**2 != size:
             raise ValueError(f"{number.size} excitation numbers do not fit a {size}-row generator")
         self.shift = 1j * np.subtract.outer(number, number).ravel()
         labels = np.rint(self.shift.imag).astype(int)
-        rows, cols = np.divmod(np.flatnonzero(generator != 0.0), size)
         if np.abs(labels[rows] - labels[cols]).max(initial=0) > 1:
             labels[:] = 0
-        values = np.unique(labels)
-        self.parts = [np.flatnonzero(labels == m) for m in values]
-        self.centre = centre = int(np.searchsorted(values, 0))
+        ms, sector = np.unique(labels, return_inverse=True)
+        self.parts = [np.flatnonzero(sector == s) for s in range(ms.size)]
+        self.centre = centre = int(np.searchsorted(ms, 0))
+        place = np.empty(size, dtype=int)
+        for part in self.parts:
+            place[part] = np.arange(part.size)
         self.blocks = {
-            (r, s): generator[np.ix_(self.parts[r], self.parts[s])]
-            for r in range(len(values))
-            for s in range(max(r - 1, 0), min(r + 2, len(values)))
+            (r, s): np.zeros((self.parts[r].size, self.parts[s].size), dtype=np.complex128)
+            for r in range(centre, ms.size)
+            for s in range(max(r - 1, centre), min(r + 2, ms.size))
         }
+        # Element (0, 0) leads the centre sector; its row becomes the trace constraint.
+        row_sector, col_sector = sector[rows], sector[cols]
+        kept = np.flatnonzero((row_sector >= centre) & (col_sector >= centre) & (rows != 0))
+        block = row_sector[kept] * ms.size + col_sector[kept]
+        order = np.argsort(block)
+        ids, starts = np.unique(block[order], return_index=True)
+        for b, entries in zip(ids, np.split(kept[order], starts[1:])):
+            r, s = divmod(int(b), ms.size)
+            self.blocks[r, s][place[rows[entries]], place[cols[entries]]] = values[entries]
         transpose = np.arange(size).reshape(number.size, number.size).T.ravel()
-        self.mirror = {s: transpose[self.parts[s]] for s in range(centre + 1, len(values))}
+        self.mirror = {s: transpose[self.parts[s]] for s in range(centre + 1, ms.size)}
         self.swap = np.searchsorted(self.parts[centre], transpose[self.parts[centre]])
-        # Element (0, 0) leads the centre sector, and the diagonal of rho lies wholly inside it.
-        self.row0 = generator[0]
-        for (r, _), block in self.blocks.items():
-            if r == centre:
-                block[0] = 0.0
         trace = np.searchsorted(self.parts[centre], np.arange(number.size) * (number.size + 1))
         self.blocks[centre, centre][0, trace] = 1.0
         stored = sum(self.blocks[s, s - 1].size for s in self.mirror)
         self.point_bytes = 16 * (stored + self.blocks[centre, centre].size)
+        # The list, row by row, for the residual: rows must come sorted.
+        self.cols, self.values = cols, values
+        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.filled = rows[self.starts]
 
     def solve(self, steps: np.ndarray) -> np.ndarray:
         """Solutions ``(k, size)`` of the trace-constrained systems at each offset.
@@ -242,7 +297,7 @@ class _Sectors:
                     schur -= coupled.conj()[:, self.swap][:, :, self.swap]
             rhs = np.eye(n, 1) if s == centre else self.blocks[s, s - 1]
             factors[s] = _solve_batch(schur, rhs)
-        vecs = np.empty((steps.size, self.row0.size), dtype=np.complex128)
+        vecs = np.empty((steps.size, self.shift.size), dtype=np.complex128)
         x = factors[centre]
         vecs[:, self.parts[centre]] = x[:, :, 0]
         for s, mirror in self.mirror.items():
@@ -252,53 +307,53 @@ class _Sectors:
         return vecs
 
     def apply(self, steps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """The shifted generators applied to ``vecs``, ``(k, size)``."""
-        xs = [vecs[:, p, None] for p in self.parts]
-        out = [(steps[:, None] * self.shift[p])[:, :, None] * x for p, x in zip(self.parts, xs)]
-        for (r, s), block in self.blocks.items():
-            out[r] += block @ xs[s]
-        applied = np.empty_like(vecs)
-        for p, part in zip(self.parts, out):
-            applied[:, p] = part[:, :, 0]
-        # Row 0 of the blocks holds the trace constraint; the generator's own row was kept.
-        applied[:, 0] = np.einsum("kj,j->k", vecs, self.row0)
+        """The shifted generators applied to ``vecs``, ``(k, size)``: one product over the list."""
+        # Gathering whole rows of the transpose keeps each entry's k products contiguous.
+        terms = np.ascontiguousarray(vecs.T)[self.cols]
+        terms *= self.values[:, None]
+        applied = steps[:, None] * self.shift * vecs
+        applied[:, self.filled] += np.add.reduceat(terms, self.starts, axis=0).T
         return applied
 
 
 def solve_stack(
-    generator: np.ndarray,
+    generator: Entries | np.ndarray,
     number: np.ndarray,
     offsets: np.ndarray,
     residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-trace steady states ``(rhos, residuals)`` of ``generator + d S`` at each offset ``d``.
 
-    ``number`` is the diagonal of ``N = sigma^+ sigma + a^+ a``, and ``S = i (N_i - N_j)`` sits on
-    the diagonal entry for ``rho_ij``: in the laser frame, moving the laser by ``d`` adds ``d S``.
-    Every term of the generator but the coherent drive conserves ``m = N_i - N_j`` and the drive
-    moves it by one, so in ``m`` order the generator is block tridiagonal, with ``S`` diagonal in
-    each block.  The blocks are gathered once (:class:`_Sectors`), then every point is solved by
-    elimination from the outermost ``+m`` sector in to ``m = 0`` and back-substitution, internally
-    in batches whose stored factors fit :data:`STACK_BYTES`; the whole grid comes back at once.
-    A Lindblad generator and the shift both map ``rho^+`` to ``(L rho)^+``, so each ``-m`` sector
-    is filled as the conjugate transpose of its ``+m`` mirror rather than solved.  A generator
-    with an entry between sectors two or more apart is solved as one block, densely.
+    The generator comes as its non-zeros (:func:`liouvillian_entries`) or as a dense array,
+    which is listed first.  ``number`` is the diagonal of ``N = sigma^+ sigma + a^+ a``, and
+    ``S = i (N_i - N_j)`` sits on the diagonal entry for ``rho_ij``: in the laser frame, moving the
+    laser by ``d`` adds ``d S``.  Every term of the generator but the coherent drive conserves
+    ``m = N_i - N_j`` and the drive moves it by one, so in ``m`` order the generator is block
+    tridiagonal, with ``S`` diagonal in each block.  The blocks are gathered once from the list
+    (:class:`_Sectors`), then every point is solved by elimination from the outermost ``+m``
+    sector in to ``m = 0`` and back-substitution, internally in batches whose stored factors fit
+    :data:`STACK_BYTES`; the whole grid comes back at once.  A Lindblad generator and the shift
+    both map ``rho^+`` to ``(L rho)^+``, so each ``-m`` sector is filled as the conjugate
+    transpose of its ``+m`` mirror rather than solved.  A generator with an entry between sectors
+    two or more apart is solved as one block, densely.
 
     The guards run over every batch: Hermiticity and unit trace (a degenerate steady manifold,
     also signalled by a singular block, raises
     :class:`~cqed_scope.errors.NonUniqueSteadyStateError`), the residual
     ``||L rho|| <= residual_tol * max(1, ||L||_F)``, and positivity.  Outside ``m = 0`` a state is
     Hermitian by construction, so the Hermiticity guard tests only the centre's solve; the
-    residual applies the full generator, ``-m`` blocks included, so it catches a generator that
-    does not preserve Hermiticity.  The Frobenius norms follow
-    in closed form, ``||L0 + d S||**2 = ||L0||**2 + 2 d Re<diag L0, S> + d**2 ||S||**2``.  An
-    error describes the first failing point and carries its position in ``offsets`` as ``index``.
+    residual applies the whole list, ``-m`` rows included, so it catches a generator that does
+    not preserve Hermiticity.  The Frobenius norms follow in closed form from the list,
+    ``||L0 + d S||**2 = ||L0||**2 + 2 d Re<diag L0, S> + d**2 ||S||**2``.  An error describes the
+    first failing point and carries its position in ``offsets`` as ``index``.
     """
+    _, rows, cols, values = generator = _listed(generator)
     sectors = _Sectors(generator, number)
     offsets = np.asarray(offsets, dtype=float)
-    cross = 2.0 * np.vdot(generator.diagonal(), sectors.shift).real
+    diagonal = rows == cols
+    cross = 2.0 * np.vdot(values[diagonal], sectors.shift[rows[diagonal]]).real
     shift_sq = np.vdot(sectors.shift, sectors.shift).real
-    norms = np.sqrt(np.vdot(generator, generator).real + offsets * cross + offsets**2 * shift_sq)
+    norms = np.sqrt(np.vdot(values, values).real + offsets * cross + offsets**2 * shift_sq)
     per_batch = max(1, STACK_BYTES // sectors.point_bytes)
     solved = []
     for start in range(0, offsets.size, per_batch):
@@ -353,15 +408,18 @@ def _checked(
     return rhos, residuals
 
 
-def steady_state(liouvillian: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
-    """Unique steady state of one generator: a one-point :func:`solve_stack`.
+def steady_state(
+    liouvillian: Entries | np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL
+) -> SteadyState:
+    """Unique steady state of one generator, listed or dense: a one-point :func:`solve_stack`.
 
     At a zero offset only the sectors matter, so the basis' own excitation numbers
     ``N = qd + n`` serve.  Errors are those of :func:`solve_stack`; the generator is left untouched.
     """
-    dim = math.isqrt(liouvillian.shape[0])
+    generator = _listed(liouvillian)
+    dim = math.isqrt(generator[0])
     number = np.add.outer((0.0, 1.0), np.arange(dim // 2)).ravel()
-    rhos, residuals = solve_stack(liouvillian, number, np.zeros(1), residual_tol)
+    rhos, residuals = solve_stack(generator, number, np.zeros(1), residual_tol)
     reading = _read(rhos, _readout(dim // 2 - 1))[0]
     return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=_observables(reading))
 
@@ -390,7 +448,7 @@ def laser_scan_steady_states(
     readout = _readout(n_max)
     number = (readout[0] + readout[1]).diagonal().real
     offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
-    generator = build_liouvillian(ham, params, channels)
+    generator = liouvillian_entries(ham, _collapse_terms(ham, params, channels))
     rhos, residuals = solve_stack(generator, number, offsets, residual_tol)
     readings = _read(rhos, readout)
     # A copy, so that holding the middle state does not hold the whole scan's states.
@@ -483,7 +541,8 @@ def truncation_check(
 ) -> tuple[bool, float]:
     """Solve at cutoff ``n_max``, then compare with ``n_max + 2`` by :func:`truncation_change`."""
     ham = build_hamiltonian(params, drive, n_max)
-    lower = steady_state(build_liouvillian(ham, params, channels), residual_tol)
+    generator = liouvillian_entries(ham, _collapse_terms(ham, params, channels))
+    lower = steady_state(generator, residual_tol)
     return truncation_change(lower, params, drive, channels, residual_tol)
 
 
@@ -501,7 +560,8 @@ def truncation_change(
     """
     n_max = lower.rho.shape[0] // 2 - 1
     ham = build_hamiltonian(params, drive, n_max + 2)
-    upper = steady_state(build_liouvillian(ham, params, channels), residual_tol)
+    generator = liouvillian_entries(ham, _collapse_terms(ham, params, channels))
+    upper = steady_state(generator, residual_tol)
     pairs = [(lower.observables[k], upper.observables[k]) for k in ("n_cavity", "n_qd")]
     worst = max(abs(lo - hi) / max(abs(lo), abs(hi), 1e-6) for lo, hi in pairs)
     return worst < TRUNCATION_RTOL, worst

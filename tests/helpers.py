@@ -79,6 +79,20 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
+def liouvillian_oracle(ham: np.ndarray, terms) -> np.ndarray:
+    """Dense generator ``K kron 1 + 1 kron R^T + sum_k r_k C_k kron conj(C_k)`` from ``np.kron``.
+
+    ``K = -i H - D`` and ``R = i H - D`` with ``D = sum_k r_k C_k^+ C_k / 2``, acting on the
+    row-major ``vec(rho)``.
+    """
+    eye = np.eye(ham.shape[0])
+    decay = sum(0.5 * rate * op.conj().T @ op for rate, op in terms)
+    out = np.kron(-1j * ham - decay, eye) + np.kron(eye, (1j * ham - decay).T)
+    for rate, op in terms:
+        out = out + rate * np.kron(op, op.conj())
+    return out
+
+
 def steady_state_oracle(liouvillian: np.ndarray) -> np.ndarray:
     """Steady state as the SVD null vector of the unmodified generator, scaled to unit trace."""
     dim = int(round(np.sqrt(liouvillian.shape[0])))

@@ -27,7 +27,13 @@ from cqed_scope.lindblad import (
 )
 from cqed_scope.model import TWO_PI, DriveSpec, DriveTarget, IncoherentChannels, SystemParams
 
-from helpers import basis_projector, purity, random_density_matrix, steady_state_oracle
+from helpers import (
+    basis_projector,
+    liouvillian_oracle,
+    purity,
+    random_density_matrix,
+    steady_state_oracle,
+)
 
 OMEGA_REF = TWO_PI * 320_000.0
 
@@ -146,6 +152,14 @@ class TestAssembleLiouvillian:
         with pytest.raises(ValueError):
             assemble_liouvillian(np.zeros((2, 2)), [(1.0, np.eye(3))])
 
+    def test_entries_that_cancel_are_not_listed(self):
+        # Pure dephasing leaves the excited population alone: 2 - 1 - 1 cancels exactly.
+        ham, terms = np.diag([0.0, 3.0]), [(2.0, np.diag([0.0, 1.0]))]
+        size, rows, cols, values = lindblad.liouvillian_entries(ham, terms)
+        assert liouvillian_oracle(ham, terms)[3, 3] == 0.0
+        assert size == 4 and list(zip(rows, cols)) == [(1, 1), (2, 2)]
+        np.testing.assert_array_equal(values, [3j - 1.0, -3j - 1.0])
+
 
 class TestBuildLiouvillian:
     def test_full_generator_matches_hand_written_form(self):
@@ -174,6 +188,45 @@ class TestBuildLiouvillian:
         params = make_system(g=1.0, kappa=1.0, gamma=0.5)
         with pytest.raises(ValueError):
             build_liouvillian(np.zeros((3, 3)), params)
+
+    @settings(max_examples=40)
+    @given(
+        g=st.floats(0.0, 20.0),
+        kappa=st.floats(0.5, 30.0),
+        gamma=st.floats(0.1, 2.0),
+        gamma_d=st.floats(0.0, 3.0),
+        delta=st.floats(-100.0, 100.0),
+        n_max=st.integers(1, 6),
+        target=st.sampled_from(DriveTarget),
+        transfer=st.booleans(),
+        rabi_ghz=st.floats(0.0, 50.0),
+    )
+    def test_listed_non_zeros_match_the_kronecker_oracle(
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, rabi_ghz
+    ):
+        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
+        drive = DriveSpec(target=target, omega_l=params.omega_c, omega_rabi=TWO_PI * rabi_ghz)
+        ham = build_hamiltonian(params, drive, n_max)
+        sigma = lift_qd(qd_lowering(), n_max)
+        a = lift_cavity(annihilation(n_max), n_max)
+        terms = [
+            (2.0 * params.kappa, a),
+            (2.0 * params.gamma, sigma),
+            (2.0 * params.gamma_d, dagger(sigma) @ sigma),
+            (channels.transfer_qd_to_cavity, dagger(a) @ sigma),
+            (channels.transfer_cavity_to_qd, dagger(sigma) @ a),
+        ]
+        size, rows, cols, values = lindblad.liouvillian_entries(ham, terms)
+        scattered = np.zeros((size, size), dtype=complex)
+        scattered[rows, cols] = values
+
+        oracle = liouvillian_oracle(ham, terms)
+        assert size == oracle.shape[0]
+        np.testing.assert_allclose(scattered, oracle, rtol=0.0, atol=1e-14 * np.abs(oracle).max())
+        assert np.all(np.diff(rows * size + cols) > 0)
+        assert np.all(values != 0.0)
+        dense = build_liouvillian(ham, params, channels)
+        assert np.array_equal(dense.view(np.uint64), scattered.view(np.uint64))
 
 
 def excitations(n_max):
@@ -320,7 +373,8 @@ class TestSolveStack:
             patch.setattr(lindblad, "STACK_BYTES", stack_bytes)
             rhos, _ = solve_stack(generator, number, offsets)
         outside = np.rint(shift.imag).reshape(number.size, number.size) != 0.0
-        raw = lindblad._Sectors(generator, number).solve(offsets).reshape(rhos.shape)
+        sectors = lindblad._Sectors(lindblad._listed(generator), number)
+        raw = sectors.solve(offsets).reshape(rhos.shape)
         for offset, rho, solved in zip(offsets, rhos, raw):
             assert np.array_equal(rho.T[outside], rho[outside].conj())
             assert np.array_equal(solved.T[outside], solved[outside].conj())

@@ -1,5 +1,8 @@
 """Laser-scan emulation, power sweeps and synthetic noise."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from cqed_scope import lindblad
 from cqed_scope import scan as scan_module
+from cqed_scope.config import parse_config
 from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import (
     ConfigError, NonUniqueSteadyStateError, NumericalError, ScanError, TruncationError
@@ -35,6 +39,8 @@ from cqed_scope.scan import (
 
 from helpers import interpolated_fwhm, steady_state_oracle
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 
 def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, cavity_nm=931.0):
     omega_c = wavelength_to_angular_frequency(cavity_nm)
@@ -49,14 +55,15 @@ def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, cavity_nm=931.0):
 
 
 def count_assemblies(monkeypatch) -> list:
-    """Record every ``build_liouvillian`` call made inside the package."""
+    """Record every generator listing (``liouvillian_entries``) made inside the package."""
     calls = []
+    listing = lindblad.liouvillian_entries
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return build_liouvillian(*args, **kwargs)
+        return listing(*args, **kwargs)
 
-    monkeypatch.setattr(lindblad, "build_liouvillian", counting)
+    monkeypatch.setattr(lindblad, "liouvillian_entries", counting)
     return calls
 
 
@@ -151,6 +158,27 @@ class TestScanLaser:
         scan_laser(params, drive, grid, EmissionChannel.CAVITY, 2)
         assert len(calls) == 2
 
+    def test_checked_high_cutoff_scan_holds_no_dense_generator(self, monkeypatch):
+        # The cutoff-20 scan's probe solves at cutoff 22, where the dense generator alone would
+        # take 16 * 46**4 bytes (68.3 MiB); the scan and its probe work from the non-zeros.
+        def dense(*args, **kwargs):
+            raise AssertionError("a scan built a dense generator")
+
+        monkeypatch.setattr(lindblad, "build_liouvillian", dense)
+        monkeypatch.setattr(lindblad, "assemble_liouvillian", dense)
+        params = parse_config(CONFIG_DIR / "example.ini").system
+        drive = DriveSpec(
+            target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=TWO_PI * 40.0
+        )
+        grid = auto_scan_window(params, drive, 6.0, 5)
+        tracemalloc.start()
+        try:
+            scan_laser(params, drive, grid, EmissionChannel.CAVITY, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 16 * 46**4
+
     def test_scan_check_reports_the_centre_truncation_change(self, monkeypatch):
         params = make_system(g=5.0, kappa=2.0, gamma=0.5, delta=-3.0)
         drive = DriveSpec(target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=1.0)
@@ -214,7 +242,7 @@ class TestScanLaser:
             v[:2, :2] = [[0.5, 0.6], [0.6, 0.5]]
             rates = np.ones(16)
         bad = np.outer(v.reshape(-1), np.eye(4).reshape(-1)) - np.diag(rates)
-        monkeypatch.setattr(lindblad, "build_liouvillian", lambda *args: bad)
+        monkeypatch.setattr(lindblad, "liouvillian_entries", lambda *args: lindblad._listed(bad))
         validate, validated = lindblad.validate_density_matrix, []
 
         def counting(rho, context):
