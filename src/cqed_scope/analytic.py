@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, TWO_PI
+from .model import SystemParams
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,7 @@ def _output_path(cfg: RunConfig, suffix: str, override: str | None = None) -> Pa
 
 
 def _maybe_noisy(cfg: RunConfig, data: SpectrumDataset, seed_offset: int = 0) -> SpectrumDataset:
+    """The configured measurement noise; a command's k-th dataset is seeded ``cfg.seed + k``."""
     if cfg.noise_relative > 0.0:
         return synthesize_noisy(data, cfg.noise_relative, cfg.seed + seed_offset)
     return data
@@ -178,8 +179,6 @@ def cmd_power_sweep(args: argparse.Namespace) -> None:
     saturation = _maybe_noisy(cfg, result.saturation, seed_offset=0)
     write_csv(saturation, sat_path)
     _emit("saturation_csv", sat_path)
-    if result.linewidths is None:
-        raise ConfigError("saturation unidentifiable: no linewidths could be measured")
     linewidths = _maybe_noisy(cfg, result.linewidths, seed_offset=1)
     write_csv(linewidths, lw_path)
     _emit("linewidth_csv", lw_path)
@@ -225,11 +224,11 @@ def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
         delta_omega_0=TWO_PI * rep.delta_omega_0_ghz,
         alpha=alpha,
     )
-    saturation = saturation_curve(
-        saturation_power_grid(alpha), rep.i_sat_counts, alpha, cfg.noise_relative, cfg.seed
+    saturation = _maybe_noisy(
+        cfg, saturation_curve(saturation_power_grid(alpha), rep.i_sat_counts, alpha)
     )
-    linewidths = linewidth_curve(
-        chained_fit_power_grid(alpha), model, cfg.noise_relative, cfg.seed + 1
+    linewidths = _maybe_noisy(
+        cfg, linewidth_curve(chained_fit_power_grid(alpha), model), seed_offset=1
     )
     directory = cfg.resolve_output_dir()
     directory.mkdir(parents=True, exist_ok=True)
@@ -256,9 +255,8 @@ def _reproduce_excess_row(cfg: RunConfig, rep, label: str) -> None:
         raise ConfigError(
             f"{cfg.source}: [reproduce] needs intrinsic_fwhm_ghz and excess_slope_ghz_per_uw"
         )
-    powers = cfg.powers()
-    linewidths = excess_curve(
-        powers, rep.intrinsic_fwhm_ghz, rep.excess_slope_ghz_per_uw, cfg.noise_relative, cfg.seed
+    linewidths = _maybe_noisy(
+        cfg, excess_curve(cfg.powers(), rep.intrinsic_fwhm_ghz, rep.excess_slope_ghz_per_uw)
     )
     directory = cfg.resolve_output_dir()
     directory.mkdir(parents=True, exist_ok=True)

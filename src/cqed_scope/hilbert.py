@@ -3,10 +3,10 @@
 The space is a two-level system tensored with a Fock ladder truncated at
 ``n_max`` photons, dimension ``2 * (n_max + 1)``.  The two-level index is the
 slow (leftmost) tensor factor: basis state ``|qd, n>`` sits at flat index
-``qd * (n_max + 1) + n`` with ``qd = 0`` the ground state.  Everything is a
-dense complex128 ndarray; no sparse formats.  The density-matrix validator
-takes one matrix or a stack of them, so a batch of steady states is checked
-in one pass.
+``qd * (n_max + 1) + n`` with ``qd = 0`` the ground state.  Every operator
+here is a dense complex128 ndarray; ``lindblad`` lists the generator's
+non-zeros from them.  The density-matrix validator takes one matrix or a
+stack of them, so a batch of steady states is checked in one pass.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Synthetic round-trip pipelines.
 
-These build mock measurement series from known ground-truth parameters and
-run the same chained fits an experimenter would, so that parameter recovery
-can be demonstrated (and regression-tested) end to end:
+These build model series from known ground-truth parameters and run the same
+chained fits an experimenter would, so that parameter recovery can be
+demonstrated (and regression-tested) end to end.  The curves are noiseless;
+``scan.synthesize_noisy`` turns one into a mock measurement:
 
 * saturation curve -> photon-number calibration ``alpha``
 * linewidth-vs-power curve -> power-independent and power-broadened widths,
@@ -26,7 +27,6 @@ from .fit import (
     fit_saturation,
 )
 from .model import TWO_PI
-from .scan import synthesize_noisy
 
 #: Chained-fit grid: points across the saturation knee, points on the lever arm, its largest ``aP``.
 KNEE_POINTS = 60
@@ -38,18 +38,14 @@ SATURATION_POINTS = 200
 
 
 def saturation_curve(
-    powers_uw: np.ndarray,
-    i_sat: float,
-    alpha_per_uw: float,
-    relative_noise: float = 0.0,
-    seed: int = 7,
+    powers_uw: np.ndarray, i_sat: float, alpha_per_uw: float
 ) -> SpectrumDataset:
-    """Emission-vs-power samples of ``I_sat * aP / (1 + aP)``."""
+    """Noiseless emission-vs-power samples of ``I_sat * aP / (1 + aP)``."""
     powers = np.asarray(powers_uw, dtype=float)
     if not (i_sat > 0.0 and alpha_per_uw > 0.0):
         raise ValueError("i_sat and alpha_per_uw must be > 0")
     drive = alpha_per_uw * powers
-    data = SpectrumDataset(
+    return SpectrumDataset(
         kind=ScanKind.POWER_SWEEP,
         x=powers,
         y=i_sat * drive / (1.0 + drive),
@@ -57,21 +53,13 @@ def saturation_curve(
         y_unit="intensity",
         meta={"i_sat_true": i_sat, "alpha_true_per_uw": alpha_per_uw},
     )
-    if relative_noise > 0.0:
-        data = synthesize_noisy(data, relative_noise, seed)
-    return data
 
 
-def linewidth_curve(
-    powers_uw: np.ndarray,
-    model: LinewidthModelParams,
-    relative_noise: float = 0.0,
-    seed: int = 8,
-) -> SpectrumDataset:
-    """Linewidth-vs-power samples of the combined broadening model, in GHz."""
+def linewidth_curve(powers_uw: np.ndarray, model: LinewidthModelParams) -> SpectrumDataset:
+    """Noiseless linewidth-vs-power samples of the combined broadening model, in GHz."""
     powers = np.asarray(powers_uw, dtype=float)
     widths_ghz = np.array([combined_linewidth(model, p) for p in powers]) / TWO_PI
-    data = SpectrumDataset(
+    return SpectrumDataset(
         kind=ScanKind.POWER_SWEEP,
         x=powers,
         y=widths_ghz,
@@ -83,25 +71,18 @@ def linewidth_curve(
             "alpha_true_per_uw": model.alpha,
         },
     )
-    if relative_noise > 0.0:
-        data = synthesize_noisy(data, relative_noise, seed)
-    return data
 
 
 def excess_curve(
-    powers_uw: np.ndarray,
-    intrinsic_fwhm_ghz: float,
-    slope_ghz_per_uw: float,
-    relative_noise: float = 0.0,
-    seed: int = 9,
+    powers_uw: np.ndarray, intrinsic_fwhm_ghz: float, slope_ghz_per_uw: float
 ) -> SpectrumDataset:
-    """Cavity-scan linewidths growing linearly above an intrinsic width."""
+    """Noiseless cavity-scan linewidths growing linearly above an intrinsic width."""
     powers = np.asarray(powers_uw, dtype=float)
     if not intrinsic_fwhm_ghz > 0.0:
         raise ValueError("intrinsic width must be > 0")
     if not slope_ghz_per_uw >= 0.0:
         raise ValueError("excess slope must be >= 0")
-    data = SpectrumDataset(
+    return SpectrumDataset(
         kind=ScanKind.POWER_SWEEP,
         x=powers,
         y=intrinsic_fwhm_ghz + slope_ghz_per_uw * powers,
@@ -112,9 +93,6 @@ def excess_curve(
             "excess_slope_true_ghz_per_uw": slope_ghz_per_uw,
         },
     )
-    if relative_noise > 0.0:
-        data = synthesize_noisy(data, relative_noise, seed)
-    return data
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ A scan point is the steady state of the master equation with the laser at a
 given wavelength; the recorded signal is the photon flux of the observed
 decay channel, ``2*kappa*<a^+a>`` for cavity emission or
 ``2*gamma*<sigma^+sigma>`` for direct dot emission.  Only the laser
-frequency changes along a scan, so each scan assembles one Liouvillian and
-gets the steady states of its copies shifted to every grid point back from one
-call, which batches them internally.
+frequency changes along a scan, so each scan lists the generator's non-zeros
+once and gets every grid point's steady state back from one call, which adds
+each point's laser shift to the diagonal and batches the points internally.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _predicted_fwhm(params: SystemParams, drive: DriveSpec) -> float:
     """A priori linewidth used only for sizing scan windows (rad/ns)."""
     if drive.target is DriveTarget.QD:
         model = LinewidthModelParams.from_system(params, alpha=1.0)
-        width = model.delta_omega_c + model.delta_omega_0 * np.sqrt(1.0 + drive.p_tilde(params))
+        width = combined_linewidth(model, drive.p_tilde(params))
     elif params.g == 0.0:
         width = 2.0 * params.kappa
     else:
@@ -215,8 +215,6 @@ def power_sweep(
         raise ValueError("powers must be >= 0")
     scan_points = int(scan_points) | 1
 
-    centre = _scan_centre(params, drive_template)
-
     # Powers rise from >= 0, so only the first can be zero: no drive, no line to fit.
     skipped = tuple(float(p) for p in powers[:1] if p == 0.0)
     fitted_powers = powers[len(skipped) :]
@@ -224,7 +222,7 @@ def power_sweep(
     fitted_fwhm_ghz: list[float] = []
     for power in fitted_powers[::-1]:
         drive = drive_template.with_power(float(power))
-        grid = wavelength_window(centre, _predicted_fwhm(params, drive), span_fwhm, scan_points)
+        grid = auto_scan_window(params, drive, span_fwhm, scan_points)
         dataset = scan_laser(
             params, drive, grid, observe, n_max, channels,
             check_truncation=power == powers[-1], residual_tol=residual_tol,

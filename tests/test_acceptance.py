@@ -44,7 +44,7 @@ from cqed_scope.reproduce import (
     saturation_curve,
     saturation_power_grid,
 )
-from cqed_scope.scan import EmissionChannel, scan_laser, wavelength_window
+from cqed_scope.scan import EmissionChannel, scan_laser, synthesize_noisy, wavelength_window
 
 from helpers import basis_projector, lorentzian, purity
 
@@ -214,8 +214,8 @@ def test_06_noisy_linewidth_table_recovery(capsys):
         model = LinewidthModelParams(TWO_PI * d_c, TWO_PI * d_0, alpha)
         hits = 0
         for trial in range(100):
-            sat = saturation_curve(sat_grid, 1000.0, alpha, noise, seed=trial)
-            widths = linewidth_curve(width_grid, model, noise, seed=trial + 1000)
+            sat = synthesize_noisy(saturation_curve(sat_grid, 1000.0, alpha), noise, trial)
+            widths = synthesize_noisy(linewidth_curve(width_grid, model), noise, trial + 1000)
             chained = chained_linewidth_fit(sat, widths)
             if not chained.alpha_reliable:
                 continue
@@ -252,7 +252,7 @@ def test_08_excess_broadening_slope(capsys):
     worst = 0.0
     powers = np.linspace(0.5, 25.0, 40)
     for intrinsic_ghz, slope in ((35.6, 0.5), (50.3, 0.8)):
-        data = excess_curve(powers, intrinsic_ghz, slope, relative_noise=0.01, seed=7)
+        data = synthesize_noisy(excess_curve(powers, intrinsic_ghz, slope), 0.01, seed=7)
         result = excess_slope_fit(data, intrinsic_ghz)
         worst = max(worst, abs(result.params["slope"] - slope) / slope)
     elapsed = time.perf_counter() - start

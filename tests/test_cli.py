@@ -8,10 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqed_scope.analytic import LinewidthModelParams
 from cqed_scope.cli import main
-from cqed_scope.config import OUTPUT_ENV_VAR
+from cqed_scope.config import OUTPUT_ENV_VAR, parse_config
 from cqed_scope.dataset import ScanKind, SpectrumDataset, read_csv, write_csv
-from cqed_scope.model import detuning_from_wavelengths
+from cqed_scope.model import TWO_PI, detuning_from_wavelengths
+from cqed_scope.reproduce import (
+    chained_fit_power_grid,
+    excess_curve,
+    linewidth_curve,
+    saturation_curve,
+    saturation_power_grid,
+)
+from cqed_scope.scan import synthesize_noisy
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -573,6 +582,48 @@ class TestReproduceCommand:
             )
             assert abs(float(report[f"{label}.excess_intercept_ghz"])) < 0.5
             assert (tmp_path / f"table2_{label}_linewidths.csv").is_file()
+
+    def test_each_csv_is_its_model_curve_with_noise_seeded_seed_plus_k(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A command's k-th dataset gets noise seed ``seed + k``: saturation k = 0 and
+        # linewidths k = 1 in table1, the one linewidth series k = 0 in table2.
+        out, expected_dir = tmp_path / "out", tmp_path / "expected"
+        expected_dir.mkdir()
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(out))
+        expected = {}
+        for table in ("table1", "table2"):
+            config_dir = CONFIG_DIR / table
+            rc, _, captured = run_cli(
+                capsys, ["reproduce", "--table", table, "--config-dir", str(config_dir)]
+            )
+            assert rc == 0, captured.err
+            for path in sorted(config_dir.glob("*.ini")):
+                cfg = parse_config(path)
+                rep, noise, seed = cfg.reproduce, cfg.noise_relative, cfg.seed
+                assert noise > 0.0
+                if table == "table1":
+                    alpha = cfg.alpha_per_uw
+                    model = LinewidthModelParams(
+                        TWO_PI * rep.delta_omega_c_ghz, TWO_PI * rep.delta_omega_0_ghz, alpha
+                    )
+                    sat_grid = saturation_power_grid(alpha)
+                    curves = {
+                        "saturation": (saturation_curve(sat_grid, rep.i_sat_counts, alpha), 0),
+                        "linewidths": (linewidth_curve(chained_fit_power_grid(alpha), model), 1),
+                    }
+                else:
+                    excess = excess_curve(
+                        cfg.powers(), rep.intrinsic_fwhm_ghz, rep.excess_slope_ghz_per_uw
+                    )
+                    curves = {"linewidths": (excess, 0)}
+                for kind, (curve, k) in curves.items():
+                    name = f"{table}_{rep.label}_{kind}.csv"
+                    write_csv(synthesize_noisy(curve, noise, seed + k), expected_dir / name)
+                    expected[name] = (expected_dir / name).read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        for name, data in expected.items():
+            assert (out / name).read_bytes() == data, name
 
 
 class TestModuleEntryPoint:
