@@ -1,8 +1,9 @@
 """Spectrum dataset container and CSV round-tripping.
 
 Datasets are the currency between the scan layer and the fitting layer and
-the only on-disk artefact format.  Three CSV shapes exist, distinguished by
-their mandatory header line:
+the only on-disk artefact format.  A dataset holds its units and values only;
+what produced it is reported by the command that wrote it.  Three CSV shapes
+exist, distinguished by their mandatory header line:
 
     wavelength_nm,intensity   laser scan
     power_uw,intensity        saturation curve
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,6 @@ class SpectrumDataset:
     y: np.ndarray
     x_unit: str
     y_unit: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -121,12 +121,7 @@ def read_csv(path: str | Path) -> SpectrumDataset:
     kind = ScanKind.LASER_WAVELENGTH if x_unit == "nm" else ScanKind.POWER_SWEEP
     try:
         return SpectrumDataset(
-            kind=kind,
-            x=np.array(xs),
-            y=np.array(ys),
-            x_unit=x_unit,
-            y_unit=y_unit,
-            meta={"source": str(path)},
+            kind=kind, x=np.array(xs), y=np.array(ys), x_unit=x_unit, y_unit=y_unit
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Configuration problems (bad files, bad keys, inconsistent drive settings)
 raise :class:`ConfigError`; anything that goes wrong after a run has started
-(singular steady-state systems, integrator blow-ups, failed fits) derives
+(singular steady-state systems, unconverged cutoffs, failed fits) derives
 from :class:`NumericalError`.  The command-line layer maps the former to
 exit code 2 and the latter to exit code 3.
 """
@@ -30,10 +30,6 @@ class NumericalError(CqedScopeError, RuntimeError):
 
 class NonUniqueSteadyStateError(NumericalError):
     """The Liouvillian kernel is degenerate; no unique steady state exists."""
-
-
-class IntegrationError(NumericalError):
-    """Time evolution lost accuracy (trace drift beyond tolerance)."""
 
 
 class TruncationError(NumericalError):

@@ -421,13 +421,10 @@ def excess_broadening(linewidths: SpectrumDataset, intrinsic_fwhm: float) -> Spe
         raise ValueError("intrinsic width must be > 0")
     if linewidths.y_unit != "fwhm_ghz":
         raise ValueError("excess broadening applies to linewidth datasets only")
-    meta = dict(linewidths.meta)
-    meta["subtracted_fwhm_ghz"] = intrinsic_fwhm / TWO_PI
     return SpectrumDataset(
         kind=linewidths.kind,
         x=linewidths.x.copy(),
         y=linewidths.y - intrinsic_fwhm / TWO_PI,
         x_unit=linewidths.x_unit,
         y_unit=linewidths.y_unit,
-        meta=meta,
     )

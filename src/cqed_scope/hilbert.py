@@ -67,14 +67,6 @@ def basis_index(qd: int, photon: int, n_max: int) -> int:
     return qd * (n_max + 1) + photon
 
 
-def ground_state_density(n_max: int) -> np.ndarray:
-    """|g, 0><g, 0| on the full space."""
-    dim = 2 * (n_max + 1)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    return rho
-
-
 def validate_density_matrix(rho: np.ndarray, context: str = "density matrix") -> None:
     """Check Hermiticity, unit trace and positivity; raise ``ValueError`` if violated.
 

@@ -1,4 +1,4 @@
-"""Master-equation engine: Hamiltonian, Liouvillian, steady state, evolution.
+"""Master-equation engine: Hamiltonian, Liouvillian, steady state, cutoff check.
 
 The density matrix evolves under
 
@@ -15,8 +15,8 @@ only detunings from the laser appear.  The generator acts on the row-major
 flattening of rho, ``vec(A rho B) = (A kron B^T) vec(rho)``, and about 1 % of its
 ``dim**2 x dim**2`` entries are non-zero.  :func:`liouvillian_entries` lists them as
 ``(size, rows, cols, values)`` straight from ``H`` and the collapse operators; scans and the
-cutoff probe work from that list alone.  :func:`build_liouvillian` scatters it into the dense
-complex array that :func:`evolve` takes.
+cutoff probe work from that list alone.  :func:`build_liouvillian` scatters it into a dense
+complex array for callers that want one.
 
 Steady states come from one routine, :func:`solve_stack`: a block elimination over the
 ``2 * n_max + 3`` sectors of equal excitation difference, in which the generator is block
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, NonUniqueSteadyStateError, NumericalError
+from .errors import NonUniqueSteadyStateError, NumericalError
 from .hilbert import (
     annihilation,
     dagger,
@@ -454,82 +454,6 @@ def laser_scan_steady_states(
     # A copy, so that holding the middle state does not hold the whole scan's states.
     rho = rhos[middle].copy()
     return readings, SteadyState(rho, float(residuals[middle]), _observables(readings[middle]))
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """States sampled along a fixed-step integration."""
-
-    times: np.ndarray
-    states: list[np.ndarray]
-    max_trace_drift: float
-
-
-def _rk4_segment(matrix: np.ndarray, vec: np.ndarray, span: float, step_cap: float) -> np.ndarray:
-    steps = max(1, math.ceil(span / step_cap))
-    h = span / steps
-    for _ in range(steps):
-        k1 = matrix @ vec
-        k2 = matrix @ (vec + 0.5 * h * k1)
-        k3 = matrix @ (vec + 0.5 * h * k2)
-        k4 = matrix @ (vec + h * k3)
-        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return vec
-
-
-def evolve(
-    liouvillian: np.ndarray,
-    rho0: np.ndarray,
-    t_final: float,
-    dt_max: float,
-    sample_times: np.ndarray | list[float] | None = None,
-) -> Trajectory:
-    """Fixed-step fourth-order Runge-Kutta integration of the master equation.
-
-    The step never exceeds ``min(dt_max, 0.1 / ||L||_F)``, which keeps the
-    integration well inside the stability region.  Sample times must be
-    increasing and within ``[0, t_final]``; each sampled state is
-    trace-renormalised.  A trace drift beyond 1e-6 raises
-    :class:`~cqed_scope.errors.IntegrationError`.
-    """
-    if not t_final > 0.0:
-        raise ValueError("t_final must be > 0")
-    if not dt_max > 0.0:
-        raise ValueError("dt_max must be > 0")
-    validate_density_matrix(rho0, context="initial state")
-    dim = math.isqrt(liouvillian.shape[0])
-    if rho0.shape[0] != dim:
-        raise ValueError("initial state dimension does not match the Liouvillian")
-
-    if sample_times is None:
-        samples = np.array([t_final], dtype=float)
-    else:
-        samples = np.asarray(sample_times, dtype=float)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("sample_times must be a non-empty 1-d sequence")
-        if np.any(np.diff(samples) <= 0.0):
-            raise ValueError("sample_times must be strictly increasing")
-        if samples[0] < 0.0 or samples[-1] > t_final * (1.0 + 1e-12):
-            raise ValueError("sample_times must lie within [0, t_final]")
-
-    norm = float(np.linalg.norm(liouvillian))
-    step_cap = dt_max if norm == 0.0 else min(dt_max, 0.1 / norm)
-
-    vec = rho0.reshape(-1).astype(np.complex128)
-    states: list[np.ndarray] = []
-    drift = 0.0
-    t_prev = 0.0
-    for t in samples:
-        if t > t_prev:
-            vec = _rk4_segment(liouvillian, vec, t - t_prev, step_cap)
-            t_prev = t
-        rho = vec.reshape(dim, dim)
-        trace = float(np.trace(rho).real)
-        drift = max(drift, abs(trace - 1.0))
-        if drift > 1e-6:
-            raise IntegrationError(f"trace drifted by {drift:.3e} at t = {t}")
-        states.append(rho / trace)
-    return Trajectory(times=samples, states=states, max_trace_drift=drift)
 
 
 def truncation_check(

@@ -51,7 +51,6 @@ def saturation_curve(
         y=i_sat * drive / (1.0 + drive),
         x_unit="uW",
         y_unit="intensity",
-        meta={"i_sat_true": i_sat, "alpha_true_per_uw": alpha_per_uw},
     )
 
 
@@ -65,11 +64,6 @@ def linewidth_curve(powers_uw: np.ndarray, model: LinewidthModelParams) -> Spect
         y=widths_ghz,
         x_unit="uW",
         y_unit="fwhm_ghz",
-        meta={
-            "delta_omega_c_true_ghz": model.delta_omega_c / TWO_PI,
-            "delta_omega_0_true_ghz": model.delta_omega_0 / TWO_PI,
-            "alpha_true_per_uw": model.alpha,
-        },
     )
 
 
@@ -88,10 +82,6 @@ def excess_curve(
         y=intrinsic_fwhm_ghz + slope_ghz_per_uw * powers,
         x_unit="uW",
         y_unit="fwhm_ghz",
-        meta={
-            "intrinsic_fwhm_true_ghz": intrinsic_fwhm_ghz,
-            "excess_slope_true_ghz_per_uw": slope_ghz_per_uw,
-        },
     )
 
 

@@ -120,11 +120,6 @@ def scan_laser(
         y=np.maximum(signal, 0.0),
         x_unit="nm",
         y_unit="intensity",
-        meta={
-            "observe": observe.value,
-            "target": drive_template.target.value,
-            "n_max": n_max,
-        },
     )
 
 
@@ -236,19 +231,12 @@ def power_sweep(
         fitted_fwhm_ghz.append(fwhm_nm_to_ghz(lor.params["fwhm"], lor.params["center"]))
         intensities.append(float(dataset.y[grid.size // 2]))
 
-    meta = {
-        "observe": observe.value,
-        "target": drive_template.target.value,
-        "alpha_per_uw": drive_template.alpha,
-        "n_max": n_max,
-    }
     saturation = SpectrumDataset(
         kind=ScanKind.POWER_SWEEP,
         x=powers,
         y=np.array([0.0] * len(skipped) + intensities[::-1]),
         x_unit="uW",
         y_unit="intensity",
-        meta=dict(meta),
     )
     linewidths = None
     if fitted_powers.size:
@@ -258,7 +246,6 @@ def power_sweep(
             y=np.array(fitted_fwhm_ghz[::-1]),
             x_unit="uW",
             y_unit="fwhm_ghz",
-            meta=dict(meta),
         )
     return PowerSweepResult(saturation=saturation, linewidths=linewidths, skipped_powers=skipped)
 
@@ -274,13 +261,10 @@ def synthesize_noisy(dataset: SpectrumDataset, relative_noise: float, seed: int)
         raise ValueError(f"relative noise must be within [0, 0.5], got {relative_noise}")
     rng = np.random.default_rng(seed)
     factors = np.maximum(1.0 + relative_noise * rng.standard_normal(dataset.y.size), 0.0)
-    meta = dict(dataset.meta)
-    meta.update({"relative_noise": relative_noise, "noise_seed": seed})
     return SpectrumDataset(
         kind=dataset.kind,
         x=dataset.x.copy(),
         y=dataset.y * factors,
         x_unit=dataset.x_unit,
         y_unit=dataset.y_unit,
-        meta=meta,
     )

@@ -8,6 +8,8 @@ compare the library against a second route rather than against itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -75,6 +77,11 @@ def basis_projector(dim: int, index: int) -> np.ndarray:
     return rho
 
 
+def ground_state_density(n_max: int) -> np.ndarray:
+    """|g, 0><g, 0| on the dot x Fock space with photon cutoff ``n_max``."""
+    return basis_projector(2 * (n_max + 1), 0)
+
+
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
@@ -99,3 +106,29 @@ def steady_state_oracle(liouvillian: np.ndarray) -> np.ndarray:
     null = np.linalg.svd(liouvillian)[2][-1].conj()
     rho = null.reshape(dim, dim)
     return rho / np.trace(rho)
+
+
+def rk4_states(liouvillian: np.ndarray, rho0: np.ndarray, times, dt_max: float) -> list:
+    """States at the increasing ``times`` (all > 0) from ``rho0`` at t = 0, by fixed-step RK4.
+
+    ``liouvillian`` is a dense generator acting on the row-major ``vec(rho)``.  Each interval
+    between samples takes equal steps of at most ``min(dt_max, 0.1 / ||L||_F)``, well inside the
+    stability region.  States come back as integrated, without renormalising the trace.
+    """
+    norm = float(np.linalg.norm(liouvillian))
+    step_cap = dt_max if norm == 0.0 else min(dt_max, 0.1 / norm)
+    vec = rho0.reshape(-1).astype(np.complex128)
+    states = []
+    t_prev = 0.0
+    for t in times:
+        steps = max(1, math.ceil((t - t_prev) / step_cap))
+        h = (t - t_prev) / steps
+        for _ in range(steps):
+            k1 = liouvillian @ vec
+            k2 = liouvillian @ (vec + 0.5 * h * k1)
+            k3 = liouvillian @ (vec + 0.5 * h * k2)
+            k4 = liouvillian @ (vec + h * k3)
+            vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_prev = t
+        states.append(vec.reshape(rho0.shape))
+    return states

@@ -22,7 +22,6 @@ class TestConstruction:
         assert ds.y.dtype == np.float64
         assert len(ds) == 3
         assert ds.header == "wavelength_nm,intensity"
-        assert ds.meta == {}
 
     def test_single_point_is_allowed(self):
         ds = _scan([934.8], [0.5])
@@ -103,7 +102,6 @@ class TestCsvRoundTrip:
         assert back.x_unit == "nm" and back.y_unit == "intensity"
         assert np.array_equal(back.x, x)
         assert np.array_equal(back.y, y)
-        assert back.meta["source"] == str(path)
 
     def test_file_bytes_are_lf_only_with_exact_header(self, tmp_path):
         ds = _scan([1.0, 2.0], [0.5, 0.25], x_unit="uW", kind=ScanKind.POWER_SWEEP)

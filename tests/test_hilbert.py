@@ -7,7 +7,6 @@ from cqed_scope.hilbert import (
     annihilation,
     basis_index,
     dagger,
-    ground_state_density,
     identity,
     lift_cavity,
     lift_qd,
@@ -15,7 +14,7 @@ from cqed_scope.hilbert import (
     validate_density_matrix,
 )
 
-from helpers import random_density_matrix
+from helpers import ground_state_density, random_density_matrix
 
 
 class TestAnnihilation:

@@ -1,7 +1,10 @@
-"""Source hygiene: every name a package module imports is used there (standard library only)."""
+"""Source hygiene: every name a package module imports is used there, and the export list
+matches what the package imports."""
 
 import ast
 from pathlib import Path
+
+import cqed_scope
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cqed_scope"
 
@@ -34,3 +37,17 @@ def test_package_modules_use_every_import():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert unused == {}
+
+
+def test_export_list_matches_the_package_imports():
+    """Every name in ``__all__`` is bound, and every public name ``__init__`` imports is listed."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    public = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert [name for name in cqed_scope.__all__ if not hasattr(cqed_scope, name)] == []
+    assert sorted(public - set(cqed_scope.__all__)) == []

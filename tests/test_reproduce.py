@@ -32,8 +32,6 @@ class TestSaturationCurve:
         assert data.kind is ScanKind.POWER_SWEEP
         assert data.x_unit == "uW" and data.y_unit == "intensity"
         assert np.array_equal(data.y, expected)
-        assert data.meta["i_sat_true"] == 1000.0
-        assert data.meta["alpha_true_per_uw"] == 0.2
 
     def test_rejects_nonpositive_truth(self):
         powers = np.linspace(0.1, 5.0, 10)
@@ -51,20 +49,12 @@ class TestLinewidthCurve:
         assert data.y_unit == "fwhm_ghz"
         np.testing.assert_allclose(data.y, expected, rtol=1e-12)
 
-    def test_truth_recorded_in_meta(self):
-        data = linewidth_curve(np.linspace(0.1, 5.0, 9), S1_MODEL)
-        assert data.meta["delta_omega_c_true_ghz"] == pytest.approx(12.6, rel=1e-12)
-        assert data.meta["delta_omega_0_true_ghz"] == pytest.approx(1.96, rel=1e-12)
-        assert data.meta["alpha_true_per_uw"] == 2.0
-
 
 class TestExcessCurve:
     def test_linear_formula(self):
         powers = np.linspace(0.5, 25.0, 40)
         data = excess_curve(powers, intrinsic_fwhm_ghz=35.6, slope_ghz_per_uw=0.5)
         assert np.array_equal(data.y, 35.6 + 0.5 * powers)
-        assert data.meta["intrinsic_fwhm_true_ghz"] == 35.6
-        assert data.meta["excess_slope_true_ghz_per_uw"] == 0.5
 
     def test_rejects_bad_truth(self):
         powers = np.linspace(0.5, 5.0, 6)
