@@ -35,6 +35,7 @@ _HEADERS: dict[tuple[str, str], str] = {
     ("uW", "fwhm_ghz"): "power_uw,fwhm_ghz",
 }
 _HEADER_TO_UNITS = {v: k for k, v in _HEADERS.items()}
+_KIND_OF_X_UNIT = {"nm": ScanKind.LASER_WAVELENGTH, "uW": ScanKind.POWER_SWEEP}
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +61,8 @@ class SpectrumDataset:
             raise ValueError("x values must be strictly increasing")
         if (self.x_unit, self.y_unit) not in _HEADERS:
             raise ValueError(f"unsupported unit pair ({self.x_unit}, {self.y_unit})")
+        if self.kind is not _KIND_OF_X_UNIT[self.x_unit]:
+            raise ValueError(f"kind {self.kind} does not fit x unit {self.x_unit}")
         if self.y_unit == "intensity" and float(y.min(initial=0.0)) < 0.0:
             raise ValueError("intensities must be >= 0")
 
@@ -98,18 +101,18 @@ def read_csv(path: str | Path) -> SpectrumDataset:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text") from exc
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0]
+    header = lines[0][1]
     if header not in _HEADER_TO_UNITS:
         raise ValueError(f"{path}: unrecognised header {header!r}")
     x_unit, y_unit = _HEADER_TO_UNITS[header]
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 2:
             raise ValueError(f"{path}:{lineno}: expected two comma-separated values")
@@ -118,7 +121,7 @@ def read_csv(path: str | Path) -> SpectrumDataset:
             ys.append(float(cells[1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-    kind = ScanKind.LASER_WAVELENGTH if x_unit == "nm" else ScanKind.POWER_SWEEP
+    kind = _KIND_OF_X_UNIT[x_unit]
     try:
         return SpectrumDataset(
             kind=kind, x=np.array(xs), y=np.array(ys), x_unit=x_unit, y_unit=y_unit

@@ -195,12 +195,22 @@ def _readout(n_max: int) -> np.ndarray:
 
 
 def _read(rhos: np.ndarray, readout: np.ndarray) -> np.ndarray:
-    """Expectations ``tr(O rho)``, ``(k, 4)``, of a stack of states.
+    """Expectations ``tr(O rho)``, ``(k, 4)``, of a stack of states, from each ``O``'s non-zeros.
 
-    Each trace is of one ``O @ rho`` product, so a state reads the same bits in
-    whichever stack it sits.
+    Each read-out operator must have at most one non-zero per row, as those of
+    :func:`_readout` do, so that ``tr(O rho)`` is the sum over rows ``i`` of
+    ``O[i, j] * rho[j, i]``.  Those terms are gathered into a ``(k, dim)`` array, zero for an
+    empty row, and summed along its rows: the same bits as ``np.trace(O @ rho)``, without a
+    ``dim x dim`` product per state.  Each state's sum is its own, so a state reads the same bits
+    in whichever stack it sits.
     """
-    return np.trace(readout[:, None] @ rhos, axis1=2, axis2=3).T
+    reading = np.empty((rhos.shape[0], len(readout)), dtype=np.complex128)
+    for o, op in enumerate(readout):
+        rows, cols = np.nonzero(op)
+        terms = np.zeros(rhos.shape[:2], dtype=np.complex128)
+        terms[:, rows] = op[rows, cols] * rhos[:, cols, rows]
+        reading[:, o] = terms.sum(axis=1)
+    return reading
 
 
 def _observables(reading: np.ndarray) -> dict[str, float | complex]:
@@ -332,7 +342,9 @@ def solve_stack(
     tridiagonal, with ``S`` diagonal in each block.  The blocks are gathered once from the list
     (:class:`_Sectors`), then every point is solved by elimination from the outermost ``+m``
     sector in to ``m = 0`` and back-substitution, internally in batches whose stored factors fit
-    :data:`STACK_BYTES`; the whole grid comes back at once.  A Lindblad generator and the shift
+    :data:`STACK_BYTES`.  Each batch is written into the one ``(points, dim, dim)`` array of
+    states that is returned, so at its peak a scan holds only that array, the gathered blocks and
+    one batch's factors and guard temporaries.  A Lindblad generator and the shift
     both map ``rho^+`` to ``(L rho)^+``, so each ``-m`` sector is filled as the conjugate
     transpose of its ``+m`` mirror rather than solved.  A generator with an entry between sectors
     two or more apart is solved as one block, densely.
@@ -354,17 +366,19 @@ def solve_stack(
     cross = 2.0 * np.vdot(values[diagonal], sectors.shift[rows[diagonal]]).real
     shift_sq = np.vdot(sectors.shift, sectors.shift).real
     norms = np.sqrt(np.vdot(values, values).real + offsets * cross + offsets**2 * shift_sq)
+    rhos = np.empty((offsets.size, number.size, number.size), dtype=np.complex128)
+    residuals = np.empty(offsets.size)
     per_batch = max(1, STACK_BYTES // sectors.point_bytes)
-    solved = []
     for start in range(0, offsets.size, per_batch):
         batch = slice(start, start + per_batch)
         try:
-            solved.append(_checked(sectors, offsets[batch], norms[batch], residual_tol))
+            rhos[batch], residuals[batch] = _checked(
+                sectors, offsets[batch], norms[batch], residual_tol
+            )
         except NumericalError as exc:
             exc.index += start
             raise
-    rhos, residuals = zip(*solved)
-    return np.concatenate(rhos), np.concatenate(residuals)
+    return rhos, residuals
 
 
 def _checked(

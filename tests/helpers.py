@@ -82,6 +82,11 @@ def ground_state_density(n_max: int) -> np.ndarray:
     return basis_projector(2 * (n_max + 1), 0)
 
 
+def expectations(rhos: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """``tr(O rho)``, ``(k, len(operators))``, each from one dense ``O @ rho`` product."""
+    return np.array([[np.trace(op @ rho) for op in operators] for rho in rhos])
+
+
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 

@@ -76,6 +76,19 @@ class TestConstruction:
             _scan([1.0, 2.0], [0.0, 0.0], x_unit="nm", y_unit="fwhm_ghz")
 
     @pytest.mark.parametrize(
+        "kind, x_unit, y_unit",
+        [
+            (ScanKind.LASER_WAVELENGTH, "uW", "fwhm_ghz"),
+            (ScanKind.LASER_WAVELENGTH, "uW", "intensity"),
+            (ScanKind.POWER_SWEEP, "nm", "intensity"),
+        ],
+    )
+    def test_kind_contradicting_the_x_unit_rejected(self, kind, x_unit, y_unit):
+        message = rf"kind ScanKind\.{kind.name} does not fit x unit {x_unit}"
+        with pytest.raises(ValueError, match=message):
+            _scan([1.0, 2.0], [0.0, 1.0], x_unit=x_unit, y_unit=y_unit, kind=kind)
+
+    @pytest.mark.parametrize(
         "x_unit, y_unit, header",
         [
             ("nm", "intensity", "wavelength_nm,intensity"),
@@ -192,6 +205,12 @@ class TestReadErrors:
         path = tmp_path / "bad.csv"
         path.write_text("wavelength_nm,intensity\n930,1\n931,high\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3: non-numeric cell"):
+            read_csv(path)
+
+    def test_error_after_a_blank_line_names_the_files_own_line(self, tmp_path):
+        path = tmp_path / "gappy.csv"
+        path.write_text("wavelength_nm,intensity\n930.0,1.0\n\n931.0,2.0\n932.0,x\n")
+        with pytest.raises(ValueError, match=r"gappy\.csv:5: non-numeric cell"):
             read_csv(path)
 
     def test_header_only_file_has_no_points(self, tmp_path):

@@ -1,5 +1,7 @@
 """Open-system generator: construction, steady states and time evolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,7 @@ from cqed_scope.model import TWO_PI, DriveSpec, DriveTarget, IncoherentChannels,
 
 from helpers import (
     basis_projector,
+    expectations,
     ground_state_density,
     liouvillian_oracle,
     purity,
@@ -436,6 +439,36 @@ class TestSolveStack:
         steps = np.abs(sector[rows] - sector[cols])
         assert steps.max() <= 1.0 + 1e-9
         assert (steps.max() > 0.5) == (rabi_ghz > 0.0)
+
+
+def random_hermitian_stack(seed, k, dim):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
+    return 0.5 * (mat + mat.conj().transpose(0, 2, 1))
+
+
+class TestRead:
+    @settings(max_examples=60)
+    @given(n_max=st.integers(1, 15), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_read_matches_dense_traces_bit_for_bit(self, n_max, k, seed):
+        readout = lindblad._readout(n_max)
+        rhos = random_hermitian_stack(seed, k, readout.shape[1])
+        reading = lindblad._read(rhos, readout)
+        assert reading.tobytes() == expectations(rhos, readout).tobytes()
+        for j in range(k):
+            assert lindblad._read(rhos[j : j + 1], readout).tobytes() == reading[j].tobytes()
+
+    def test_read_allocates_less_than_the_stack_it_reads(self):
+        # Four dense O @ rho products would allocate four times the stack.
+        readout = lindblad._readout(13)
+        rhos = random_hermitian_stack(0, 61, readout.shape[1])
+        tracemalloc.start()
+        try:
+            lindblad._read(rhos, readout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rhos.nbytes
 
 
 class TestSteadyState:

@@ -171,6 +171,30 @@ class TestScanLaser:
             tracemalloc.stop()
         assert peak < 0.25 * 16 * 46**4
 
+    def test_scan_holds_one_copy_of_its_states(self):
+        # At its peak a scan holds its states, the gathered sector blocks and one batch of
+        # factors (at most STACK_BYTES here), plus the list and the batch's temporaries; a
+        # second copy of the states, or a dense O @ rho per state and read-out, breaks the bound.
+        params = parse_config(CONFIG_DIR / "example.ini").system
+        drive = DriveSpec(
+            target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=TWO_PI * 40.0
+        )
+        grid = auto_scan_window(params, drive, 6.0, 61)
+        n_max = 20
+        ham = build_hamiltonian(params, drive, n_max)
+        generator = lindblad.liouvillian_entries(ham, lindblad._collapse_terms(ham, params, None))
+        readout = lindblad._readout(n_max)
+        sectors = lindblad._Sectors(generator, (readout[0] + readout[1]).diagonal().real)
+        blocks = sum(block.nbytes for block in sectors.blocks.values())
+        states = grid.size * readout[0].nbytes
+        tracemalloc.start()
+        try:
+            scan_laser(params, drive, grid, EmissionChannel.CAVITY, n_max, check_truncation=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < states + blocks + 3 * lindblad.STACK_BYTES
+
     def test_scan_check_reports_the_centre_truncation_change(self, monkeypatch):
         params = make_system(g=5.0, kappa=2.0, gamma=0.5, delta=-3.0)
         drive = DriveSpec(target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=1.0)
