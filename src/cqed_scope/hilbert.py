@@ -67,6 +67,11 @@ def basis_index(qd: int, photon: int, n_max: int) -> int:
     return qd * (n_max + 1) + photon
 
 
+def basis_numbers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer ``(qd, photon)`` of every basis state, in flat-index order (:func:`basis_index`)."""
+    return np.divmod(np.arange(2 * (n_max + 1)), n_max + 1)
+
+
 def validate_density_matrix(rho: np.ndarray, context: str = "density matrix") -> None:
     """Check Hermiticity, unit trace and positivity; raise ``ValueError`` if violated.
 

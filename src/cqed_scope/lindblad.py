@@ -19,10 +19,12 @@ cutoff probe work from that list alone.  :func:`build_liouvillian` scatters it i
 complex array for callers that want one.
 
 Steady states come from one routine, :func:`solve_stack`: a block elimination over the
-``2 * n_max + 3`` sectors of equal excitation difference, in which the generator is block
-tridiagonal.  The generator maps ``rho^+`` to ``(L rho)^+``, so only the ``m >= 0`` half is
-solved and ``rho_{-m} = rho_m^+``.  A scan gathers its blocks once from the list and gets every
-point's state from one call, which batches internally (:func:`laser_scan_steady_states`);
+``2 * n_max + 3`` sectors of equal excitation difference ``m = N_i - N_j``, in which the generator
+is block tridiagonal.  ``N = qd + n`` comes from the basis as exact integers
+(:func:`~cqed_scope.hilbert.basis_numbers`), which the Hamiltonian and the read-out share.  The
+generator maps ``rho^+`` to ``(L rho)^+``, so only the ``m >= 0`` half is solved and
+``rho_{-m} = rho_m^+``.  A scan gathers its blocks once from the list and gets every point's
+state from one call, which batches internally (:func:`laser_scan_steady_states`);
 :func:`steady_state` is the one-point call.
 """
 
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import NonUniqueSteadyStateError, NumericalError
 from .hilbert import (
     annihilation,
+    basis_numbers,
     dagger,
     lift_cavity,
     lift_qd,
@@ -69,14 +72,13 @@ def build_hamiltonian(params: SystemParams, drive: DriveSpec, n_max: int) -> np.
     ``(omega_d - omega_l) sigma^+ sigma + (omega_c - omega_l) a^+ a
     + g (sigma^+ a + sigma a^+)`` plus the drive term
     ``(omega_rabi / 2) * (x + x^+)`` where ``x`` is ``sigma`` or ``a``
-    depending on the drive target.
+    depending on the drive target.  The bare terms are the diagonal
+    ``(omega_d - omega_l) qd + (omega_c - omega_l) n`` of the basis' integer numbers.
     """
     sm, a = _ladder(n_max)
-    sp, ad = dagger(sm), dagger(a)
-
-    delta_d = params.omega_d - drive.omega_l
-    delta_c = params.omega_c - drive.omega_l
-    ham = delta_d * (sp @ sm) + delta_c * (ad @ a) + params.g * (sp @ a + sm @ ad)
+    qd, n = basis_numbers(n_max)
+    bare = (params.omega_d - drive.omega_l) * qd + (params.omega_c - drive.omega_l) * n
+    ham = np.diag(bare) + params.g * (dagger(sm) @ a + sm @ dagger(a))
 
     omega_rabi = drive.rabi_frequency(params)
     if omega_rabi != 0.0:
@@ -189,9 +191,10 @@ class SteadyState:
 
 
 def _readout(n_max: int) -> np.ndarray:
-    """The read-out operators ``a^+a, sigma^+sigma, a, sigma`` as a ``(4, dim, dim)`` stack."""
+    """Read-out ``a^+a = diag(n), sigma^+sigma = diag(qd), a, sigma``, a ``(4, dim, dim)`` stack."""
     sm, a = _ladder(n_max)
-    return np.stack([dagger(a) @ a, dagger(sm) @ sm, a, sm])
+    qd, n = basis_numbers(n_max)
+    return np.stack([np.diag(n), np.diag(qd), a, sm])
 
 
 def _read(rhos: np.ndarray, readout: np.ndarray) -> np.ndarray:
@@ -238,47 +241,47 @@ def _solve_batch(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class _Sectors:
     """A generator's blocks between excitation-difference sectors, gathered once from its list.
 
-    The unknown ``rho_ij`` sits in sector ``m = rint(N_i - N_j)``; sectors are numbered in ``m``
-    order and ``blocks[r, s]`` couples neighbours.  Swapping ``i`` and ``j`` negates ``m``, so
-    the sectors mirror about the centre ``m = 0``; only the blocks of the centre and the ``+m``
-    sectors are gathered, and the trace row replaces the equation for element (0, 0).
-    ``mirror[s]`` holds the flat index of the transpose of each unknown of a ``+m`` sector, and
-    ``swap`` the position of each centre unknown's transpose in the centre.  A generator with any
-    entry between sectors two or more apart is kept as one sector.
+    The unknown ``rho_ij`` of the dot x Fock space sits in sector ``m = N_i - N_j``, the integer
+    ``m[ij]`` (``N = qd + n``); sectors are numbered in ``m`` order and ``blocks[r, s]`` couples
+    neighbours.  Swapping ``i`` and ``j`` negates ``m``, so the sectors mirror about the centre
+    ``m = 0``; only the blocks of the centre and the ``+m`` sectors are gathered, and the trace row
+    replaces the equation for element (0, 0).  ``mirror[s]`` holds the flat index of the transpose
+    of each unknown of a ``+m`` sector, and ``swap`` the position of each centre unknown's
+    transpose in the centre.  A generator with any entry between sectors two or more apart is kept
+    as one sector.
     """
 
-    def __init__(self, generator: Entries, number: np.ndarray) -> None:
+    def __init__(self, generator: Entries) -> None:
         size, rows, cols, values = generator
-        if number.size**2 != size:
-            raise ValueError(f"{number.size} excitation numbers do not fit a {size}-row generator")
-        self.shift = 1j * np.subtract.outer(number, number).ravel()
-        labels = np.rint(self.shift.imag).astype(int)
-        if np.abs(labels[rows] - labels[cols]).max(initial=0) > 1:
-            labels[:] = 0
-        ms, sector = np.unique(labels, return_inverse=True)
-        self.parts = [np.flatnonzero(sector == s) for s in range(ms.size)]
-        self.centre = centre = int(np.searchsorted(ms, 0))
+        self.dim = dim = math.isqrt(size)
+        if dim * dim != size or dim % 2 != 0:
+            raise ValueError(f"a {size}-row generator does not act on a dot x Fock space")
+        qd, n = basis_numbers(dim // 2 - 1)
+        number = qd + n
+        self.m = np.subtract.outer(number, number).ravel()
+        near = np.abs(self.m[rows] - self.m[cols]).max(initial=0) <= 1
+        labels = self.m if near else np.zeros_like(self.m)
+        top = int(labels.max())
+        sector, count = labels + top, 2 * top + 1
+        self.parts = [np.flatnonzero(sector == s) for s in range(count)]
+        self.centre = centre = top
         place = np.empty(size, dtype=int)
         for part in self.parts:
             place[part] = np.arange(part.size)
         self.blocks = {
             (r, s): np.zeros((self.parts[r].size, self.parts[s].size), dtype=np.complex128)
-            for r in range(centre, ms.size)
-            for s in range(max(r - 1, centre), min(r + 2, ms.size))
+            for r in range(centre, count)
+            for s in range(max(r - 1, centre), min(r + 2, count))
         }
         # Element (0, 0) leads the centre sector; its row becomes the trace constraint.
-        row_sector, col_sector = sector[rows], sector[cols]
-        kept = np.flatnonzero((row_sector >= centre) & (col_sector >= centre) & (rows != 0))
-        block = row_sector[kept] * ms.size + col_sector[kept]
-        order = np.argsort(block)
-        ids, starts = np.unique(block[order], return_index=True)
-        for b, entries in zip(ids, np.split(kept[order], starts[1:])):
-            r, s = divmod(int(b), ms.size)
-            self.blocks[r, s][place[rows[entries]], place[cols[entries]]] = values[entries]
-        transpose = np.arange(size).reshape(number.size, number.size).T.ravel()
-        self.mirror = {s: transpose[self.parts[s]] for s in range(centre + 1, ms.size)}
+        pair = np.where(rows != 0, sector[rows] * count + sector[cols], -1)
+        for (r, s), block in self.blocks.items():
+            entries = np.flatnonzero(pair == r * count + s)
+            block[place[rows[entries]], place[cols[entries]]] = values[entries]
+        transpose = np.arange(size).reshape(dim, dim).T.ravel()
+        self.mirror = {s: transpose[self.parts[s]] for s in range(centre + 1, count)}
         self.swap = np.searchsorted(self.parts[centre], transpose[self.parts[centre]])
-        trace = np.searchsorted(self.parts[centre], np.arange(number.size) * (number.size + 1))
+        trace = np.searchsorted(self.parts[centre], np.arange(dim) * (dim + 1))
         self.blocks[centre, centre][0, trace] = 1.0
         stored = sum(self.blocks[s, s - 1].size for s in self.mirror)
         self.point_bytes = 16 * (stored + self.blocks[centre, centre].size)
@@ -299,7 +302,8 @@ class _Sectors:
         for s in range(last, centre - 1, -1):
             n = len(self.parts[s])
             schur = np.repeat(self.blocks[s, s][None], steps.size, axis=0)
-            schur.reshape(steps.size, -1)[:, :: n + 1] += steps[:, None] * self.shift[self.parts[s]]
+            shift = 1j * (steps[:, None] * self.m[self.parts[s]])
+            schur.reshape(steps.size, -1)[:, :: n + 1] += shift
             if s < last:
                 coupled = self.blocks[s, s + 1] @ factors[s + 1]
                 schur -= coupled
@@ -307,7 +311,7 @@ class _Sectors:
                     schur -= coupled.conj()[:, self.swap][:, :, self.swap]
             rhs = np.eye(n, 1) if s == centre else self.blocks[s, s - 1]
             factors[s] = _solve_batch(schur, rhs)
-        vecs = np.empty((steps.size, self.shift.size), dtype=np.complex128)
+        vecs = np.empty((steps.size, self.m.size), dtype=np.complex128)
         x = factors[centre]
         vecs[:, self.parts[centre]] = x[:, :, 0]
         for s, mirror in self.mirror.items():
@@ -321,25 +325,22 @@ class _Sectors:
         # Gathering whole rows of the transpose keeps each entry's k products contiguous.
         terms = np.ascontiguousarray(vecs.T)[self.cols]
         terms *= self.values[:, None]
-        applied = steps[:, None] * self.shift * vecs
+        applied = 1j * (steps[:, None] * self.m) * vecs
         applied[:, self.filled] += np.add.reduceat(terms, self.starts, axis=0).T
         return applied
 
 
 def solve_stack(
-    generator: Entries | np.ndarray,
-    number: np.ndarray,
-    offsets: np.ndarray,
-    residual_tol: float = STEADY_RESIDUAL_TOL,
+    generator: Entries, offsets: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-trace steady states ``(rhos, residuals)`` of ``generator + d S`` at each offset ``d``.
 
-    The generator comes as its non-zeros (:func:`liouvillian_entries`) or as a dense array,
-    which is listed first.  ``number`` is the diagonal of ``N = sigma^+ sigma + a^+ a``, and
-    ``S = i (N_i - N_j)`` sits on the diagonal entry for ``rho_ij``: in the laser frame, moving the
-    laser by ``d`` adds ``d S``.  Every term of the generator but the coherent drive conserves
-    ``m = N_i - N_j`` and the drive moves it by one, so in ``m`` order the generator is block
-    tridiagonal, with ``S`` diagonal in each block.  The blocks are gathered once from the list
+    The generator comes as its non-zeros (:func:`liouvillian_entries`) on the dot x Fock space.
+    With ``N = qd + n`` the basis' integer excitation numbers, ``S = i m``, ``m = N_i - N_j``,
+    sits on the diagonal entry for ``rho_ij``: in the laser frame, moving the laser by ``d`` adds
+    ``d S``.  Every term of the generator but the coherent drive conserves ``m`` and the drive
+    moves it by one, so in ``m`` order the generator is block tridiagonal, and ``S`` is ``i m``
+    times the identity in each block.  The blocks are gathered once from the list
     (:class:`_Sectors`), then every point is solved by elimination from the outermost ``+m``
     sector in to ``m = 0`` and back-substitution, internally in batches whose stored factors fit
     :data:`STACK_BYTES`.  Each batch is written into the one ``(points, dim, dim)`` array of
@@ -356,17 +357,17 @@ def solve_stack(
     Hermitian by construction, so the Hermiticity guard tests only the centre's solve; the
     residual applies the whole list, ``-m`` rows included, so it catches a generator that does
     not preserve Hermiticity.  The Frobenius norms follow in closed form from the list,
-    ``||L0 + d S||**2 = ||L0||**2 + 2 d Re<diag L0, S> + d**2 ||S||**2``.  An error describes the
-    first failing point and carries its position in ``offsets`` as ``index``.
+    ``||L0 + d S||**2 = ||L0||**2 + 2 d sum_i m_i Im(L0_ii) + d**2 sum_i m_i**2``.  An error
+    describes the first failing point and carries its position in ``offsets`` as ``index``.
     """
-    _, rows, cols, values = generator = _listed(generator)
-    sectors = _Sectors(generator, number)
+    _, rows, cols, values = generator
+    sectors = _Sectors(generator)
+    m = sectors.m
     offsets = np.asarray(offsets, dtype=float)
     diagonal = rows == cols
-    cross = 2.0 * np.vdot(values[diagonal], sectors.shift[rows[diagonal]]).real
-    shift_sq = np.vdot(sectors.shift, sectors.shift).real
-    norms = np.sqrt(np.vdot(values, values).real + offsets * cross + offsets**2 * shift_sq)
-    rhos = np.empty((offsets.size, number.size, number.size), dtype=np.complex128)
+    cross = 2.0 * np.dot(m[rows[diagonal]], values[diagonal].imag)
+    norms = np.sqrt(np.vdot(values, values).real + offsets * cross + offsets**2 * np.dot(m, m))
+    rhos = np.empty((offsets.size, sectors.dim, sectors.dim), dtype=np.complex128)
     residuals = np.empty(offsets.size)
     per_batch = max(1, STACK_BYTES // sectors.point_bytes)
     for start in range(0, offsets.size, per_batch):
@@ -386,9 +387,7 @@ def _checked(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One batch of :func:`solve_stack`: solve, then run every guard over the batch."""
     k = steps.size
-    vecs = sectors.solve(steps)
-    dim = math.isqrt(vecs.shape[1])
-    rhos = vecs.reshape(k, dim, dim)
+    rhos = sectors.solve(steps).reshape(k, sectors.dim, sectors.dim)
     adjoint = rhos.conj().transpose(0, 2, 1)
     scale = np.maximum(1.0, np.linalg.norm(rhos, axis=(1, 2)))
     asymmetric = np.linalg.norm(rhos - adjoint, axis=(1, 2)) > 1e-8 * scale
@@ -427,14 +426,11 @@ def steady_state(
 ) -> SteadyState:
     """Unique steady state of one generator, listed or dense: a one-point :func:`solve_stack`.
 
-    At a zero offset only the sectors matter, so the basis' own excitation numbers
-    ``N = qd + n`` serve.  Errors are those of :func:`solve_stack`; the generator is left untouched.
+    A dense generator is listed first.  Errors are those of :func:`solve_stack`; the generator is
+    left untouched.
     """
-    generator = _listed(liouvillian)
-    dim = math.isqrt(generator[0])
-    number = np.add.outer((0.0, 1.0), np.arange(dim // 2)).ravel()
-    rhos, residuals = solve_stack(generator, number, np.zeros(1), residual_tol)
-    reading = _read(rhos, _readout(dim // 2 - 1))[0]
+    rhos, residuals = solve_stack(_listed(liouvillian), np.zeros(1), residual_tol)
+    reading = _read(rhos, _readout(rhos.shape[1] // 2 - 1))[0]
     return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=_observables(reading))
 
 
@@ -450,21 +446,19 @@ def laser_scan_steady_states(
 
     Row ``j`` of the ``(len(laser_omegas), 4)`` readout holds ``<a^+a>, <sigma^+sigma>, <a>,
     <sigma>`` at ``laser_omegas[j]``.  The generator is assembled once, at the middle frequency:
-    in the laser frame ``omega_l`` enters only as ``-omega_l N``, so each point is the shift by
-    its distance from there (a nearby reference keeps digits), with ``N`` read off the diagonals
-    of the read-out operators, which are built once per scan.  The middle state equals a fresh
-    :func:`steady_state` at its frequency bit for bit.  A failing point raises the error of
-    :func:`solve_stack` with ``index`` its position in ``laser_omegas``.
+    in the laser frame ``omega_l`` enters only as ``-omega_l N``, with ``N`` the basis' integer
+    excitation numbers, so each point is the shift by its distance from there (a nearby reference
+    keeps digits).  The middle state equals a fresh :func:`steady_state` at its frequency bit for
+    bit.  A failing point raises the error of :func:`solve_stack` with ``index`` its position in
+    ``laser_omegas``.
     """
     middle = len(laser_omegas) // 2
     omega_ref = laser_omegas[middle]
     ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
-    readout = _readout(n_max)
-    number = (readout[0] + readout[1]).diagonal().real
     offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
     generator = liouvillian_entries(ham, _collapse_terms(ham, params, channels))
-    rhos, residuals = solve_stack(generator, number, offsets, residual_tol)
-    readings = _read(rhos, readout)
+    rhos, residuals = solve_stack(generator, offsets, residual_tol)
+    readings = _read(rhos, _readout(n_max))
     # A copy, so that holding the middle state does not hold the whole scan's states.
     rho = rhos[middle].copy()
     return readings, SteadyState(rho, float(residuals[middle]), _observables(readings[middle]))

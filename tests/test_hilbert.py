@@ -6,6 +6,7 @@ import pytest
 from cqed_scope.hilbert import (
     annihilation,
     basis_index,
+    basis_numbers,
     dagger,
     identity,
     lift_cavity,
@@ -87,6 +88,13 @@ class TestTensorAndLifts:
         }
         for (qd, photon), index in expected.items():
             assert basis_index(qd, photon, n_max) == index
+
+    def test_basis_numbers_are_the_integers_basis_index_places(self):
+        for n_max in (1, 2, 13):
+            qd, photon = basis_numbers(n_max)
+            assert qd.dtype.kind == photon.dtype.kind == "i"
+            indices = [basis_index(int(q), int(n), n_max) for q, n in zip(qd, photon)]
+            assert indices == list(range(2 * (n_max + 1)))
 
     def test_lifted_qd_lowering_preserves_photon_number(self):
         n_max = 2

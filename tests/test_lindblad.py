@@ -118,6 +118,18 @@ class TestBuildHamiltonian:
             ham = build_hamiltonian(params, drive, n_max=2)
             np.testing.assert_allclose(ham, dagger(ham), atol=1e-9)
 
+    @pytest.mark.parametrize("n_max", [3, 13])
+    @pytest.mark.parametrize("target", list(DriveTarget))
+    def test_bare_terms_take_integer_excitation_numbers(self, n_max, target):
+        # The diagonal is exactly (omega_d - omega_l) qd + (omega_c - omega_l) n: a number
+        # operator assembled as a^+ a holds sqrt(n)**2, which misses n = 3 by an ulp.
+        params = make_system(g=7.0, kappa=2.0, gamma=0.5, delta=-40.0)
+        drive = DriveSpec(target=target, omega_l=OMEGA_REF + TWO_PI * 13.0, omega_rabi=TWO_PI)
+        ham = build_hamiltonian(params, drive, n_max)
+        qd, n = basis_integers(n_max)
+        bare = (params.omega_d - drive.omega_l) * qd + (params.omega_c - drive.omega_l) * n
+        assert np.array_equal(ham.diagonal(), bare)
+
 
 class TestAssembleLiouvillian:
     def test_commutator_action_without_collapse(self):
@@ -232,11 +244,15 @@ class TestBuildLiouvillian:
         assert np.array_equal(dense.view(np.uint64), scattered.view(np.uint64))
 
 
+def basis_integers(n_max):
+    """``(qd, n)`` of each basis state ``|qd, n>``, photons fastest, as exact integers."""
+    return np.repeat([0, 1], n_max + 1), np.tile(np.arange(n_max + 1), 2)
+
+
 def excitations(n_max):
-    """Diagonal of ``N = sigma^+ sigma + a^+ a``, built from the lifted operators."""
-    sigma = lift_qd(qd_lowering(), n_max)
-    a = lift_cavity(annihilation(n_max), n_max)
-    return np.diag(dagger(sigma) @ sigma + dagger(a) @ a).real
+    """``N = qd + n`` of each basis state, as exact integers."""
+    qd, n = basis_integers(n_max)
+    return qd + n
 
 
 def laser_shift(number):
@@ -282,10 +298,10 @@ class TestSolveStack:
         omegas = centre + width * np.linspace(-3.0, 3.0, 9)
         reference = build_liouvillian(build_hamiltonian(params, drive, n_max), params, channels)
 
-        number, offsets = excitations(n_max), omegas - centre
+        listed, offsets = lindblad._listed(reference), omegas - centre
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lindblad, "STACK_BYTES", stack_bytes)
-            rhos, residuals = solve_stack(reference, number, offsets)
+            rhos, residuals = solve_stack(listed, offsets)
             scales = []
             for omega, rho, residual in zip(omegas, rhos, residuals):
                 ham = build_hamiltonian(params, drive.with_laser_frequency(omega), n_max)
@@ -299,25 +315,24 @@ class TestSolveStack:
             ratios = residuals / np.array(scales)
             j = int(np.argmax(ratios))
             assume(ratios[j] > 0.0)
-            solve_stack(reference, number, offsets, residual_tol=ratios[j] * (1.0 + 1e-9))
+            solve_stack(listed, offsets, residual_tol=ratios[j] * (1.0 + 1e-9))
             with pytest.raises(NumericalError, match="residual") as caught:
-                solve_stack(reference, number, offsets, residual_tol=ratios[j] * (1.0 - 1e-9))
+                solve_stack(listed, offsets, residual_tol=ratios[j] * (1.0 - 1e-9))
             assert caught.value.index == j
 
     def test_slices_match_single_solves(self, monkeypatch):
-        # Two points to a batch at cutoff 3; each equals a one-point solve of its shifted generator.
+        # Four points to a batch at cutoff 3; each equals a one-point solve of its shifted generator.
         monkeypatch.setattr(lindblad, "STACK_BYTES", 1 << 15)
         params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
         generator = build_liouvillian(
             build_hamiltonian(params, cavity_drive(params.omega_c, TWO_PI * 3.0), 3), params
         )
-        number = excitations(3)
         offsets = TWO_PI * np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 7.0, 11.0])
-        rhos, residuals = solve_stack(generator, number, offsets)
-        shift = laser_shift(number)
+        rhos, residuals = solve_stack(lindblad._listed(generator), offsets)
+        shift = laser_shift(excitations(3))
         for offset, rho, residual in zip(offsets, rhos, residuals):
             single, single_residual = solve_stack(
-                generator + np.diag(offset * shift), number, np.zeros(1)
+                lindblad._listed(generator + np.diag(offset * shift)), np.zeros(1)
             )
             assert np.array_equal(rho, single[0])
             assert residual == pytest.approx(single_residual[0], rel=1e-6, abs=1e-14)
@@ -325,26 +340,25 @@ class TestSolveStack:
     def test_singular_slice_is_located(self, monkeypatch):
         # Coherences between different N that neither decay nor rotate are stationary at zero
         # offset only; one batch, then one point to a batch.
-        number = excitations(1)
-        same_n = laser_shift(number) == 0.0
-        generator = trace_kernel_generator(basis_projector(4, 0), same_n)
+        same_n = laser_shift(excitations(1)) == 0.0
+        generator = lindblad._listed(trace_kernel_generator(basis_projector(4, 0), same_n))
         for stack_bytes in (lindblad.STACK_BYTES, 1):
             monkeypatch.setattr(lindblad, "STACK_BYTES", stack_bytes)
             with pytest.raises(NonUniqueSteadyStateError, match="singular") as caught:
-                solve_stack(generator, number, np.array([1.0, 2.0, 0.0, -1.0, 0.0]))
+                solve_stack(generator, np.array([1.0, 2.0, 0.0, -1.0, 0.0]))
             assert caught.value.index == 2
 
     def test_non_positive_slice_is_located(self, monkeypatch):
         # The kernel's coherence 0.6 / |1 - i d| exceeds the populations' 0.5 for |d| < 0.66.
         v = np.zeros((4, 4), dtype=complex)
         v[:2, :2] = [[0.5, 0.6], [0.6, 0.5]]
-        generator = trace_kernel_generator(v, np.ones(16))
-        rhos, _ = solve_stack(generator, excitations(1), np.array([2.0, -1.0]))
+        generator = lindblad._listed(trace_kernel_generator(v, np.ones(16)))
+        rhos, _ = solve_stack(generator, np.array([2.0, -1.0]))
         assert np.linalg.eigvalsh(rhos).min() > -1e-15
         for stack_bytes in (lindblad.STACK_BYTES, 1):
             monkeypatch.setattr(lindblad, "STACK_BYTES", stack_bytes)
             with pytest.raises(NumericalError, match="negative eigenvalue") as caught:
-                solve_stack(generator, excitations(1), np.array([2.0, -1.0, 0.5, 0.0]))
+                solve_stack(generator, np.array([2.0, -1.0, 0.5, 0.0]))
             assert caught.value.index == 2
 
     @settings(max_examples=60)
@@ -374,9 +388,9 @@ class TestSolveStack:
         offsets = TWO_PI * np.array(offsets_ghz)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lindblad, "STACK_BYTES", stack_bytes)
-            rhos, _ = solve_stack(generator, number, offsets)
+            rhos, _ = solve_stack(lindblad._listed(generator), offsets)
         outside = np.rint(shift.imag).reshape(number.size, number.size) != 0.0
-        sectors = lindblad._Sectors(lindblad._listed(generator), number)
+        sectors = lindblad._Sectors(lindblad._listed(generator))
         raw = sectors.solve(offsets).reshape(rhos.shape)
         for offset, rho, solved in zip(offsets, rhos, raw):
             assert np.array_equal(rho.T[outside], rho[outside].conj())
@@ -395,7 +409,7 @@ class TestSolveStack:
         number = excitations(3)
         shift = laser_shift(number)
         offsets = TWO_PI * np.array([-300.0, 200.0, -150.0, 100.0, 0.0, 5.0, -40.0])
-        rhos, _ = solve_stack(generator, number, offsets)
+        rhos, _ = solve_stack(lindblad._listed(generator), offsets)
 
         # The coupling g of rho_{g0,e0} into the equation of rho_{g0,g1}, both in sector m = -1.
         dim = number.size
@@ -412,7 +426,7 @@ class TestSolveStack:
         first = int(np.flatnonzero(np.array(ratios) > lindblad.STEADY_RESIDUAL_TOL)[0])
         assert first == 4
         with pytest.raises(NumericalError, match="residual") as caught:
-            solve_stack(bad, number, offsets)
+            solve_stack(lindblad._listed(bad), offsets)
         assert caught.value.index == first
 
     @settings(max_examples=40)
@@ -448,6 +462,13 @@ def random_hermitian_stack(seed, k, dim):
 
 
 class TestRead:
+    @pytest.mark.parametrize("n_max", [1, 3, 13])
+    def test_number_operators_are_the_integer_excitation_numbers(self, n_max):
+        qd, n = basis_integers(n_max)
+        readout = lindblad._readout(n_max)
+        assert np.array_equal(readout[0], np.diag(n))
+        assert np.array_equal(readout[1], np.diag(qd))
+
     @settings(max_examples=60)
     @given(n_max=st.integers(1, 15), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_read_matches_dense_traces_bit_for_bit(self, n_max, k, seed):

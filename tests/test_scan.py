@@ -183,10 +183,9 @@ class TestScanLaser:
         n_max = 20
         ham = build_hamiltonian(params, drive, n_max)
         generator = lindblad.liouvillian_entries(ham, lindblad._collapse_terms(ham, params, None))
-        readout = lindblad._readout(n_max)
-        sectors = lindblad._Sectors(generator, (readout[0] + readout[1]).diagonal().real)
+        sectors = lindblad._Sectors(generator)
         blocks = sum(block.nbytes for block in sectors.blocks.values())
-        states = grid.size * readout[0].nbytes
+        states = grid.size * lindblad._readout(n_max)[0].nbytes
         tracemalloc.start()
         try:
             scan_laser(params, drive, grid, EmissionChannel.CAVITY, n_max, check_truncation=False)
@@ -223,7 +222,7 @@ class TestScanLaser:
             scan_laser(params, drive, grid, EmissionChannel.QD, 1, check_truncation=False)
 
     def test_spectrum_does_not_depend_on_the_batch_budget(self, monkeypatch):
-        # At cutoff 3 the budgets put one point, two points and 82 points to a batch.
+        # At cutoff 3 the budgets put one point, four points and 132 points to a batch.
         params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5, delta=1.0)
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, omega_rabi=TWO_PI * 1.0)
         grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 201)
@@ -340,8 +339,8 @@ class TestShiftedGenerator:
         transfer=st.booleans(),
         points=st.integers(5, 41),
     )
-    # Narrow lines far from the dot: the shift must use the number operator as
-    # assembled (sqrt(n)**2, not n) to stay within the bound here.
+    # Narrow lines far from the dot, where the bound holds only if the scan's shift and each
+    # point's Hamiltonian take the same excitation numbers.
     @example(
         g=0.5, kappa=0.5, gamma=0.1015625, gamma_d=0.0, delta=15.0, n_max=2,
         target=DriveTarget.CAVITY, observe=EmissionChannel.QD, transfer=False, points=9,
