@@ -1,8 +1,8 @@
 """Closed-form spectroscopy results for the coupled dot-cavity system.
 
 These are the benchmarks the numerical engine is checked against: complex
-polariton frequencies of the linearised system, far-detuned (dispersive)
-linewidths, the saturating fluorescence intensity of a resonantly driven
+polariton frequencies of the linearised system, the far-detuned (dispersive)
+dot linewidth, the saturating fluorescence intensity of a resonantly driven
 two-level emitter, and the power-broadened linewidth model used to fit
 power sweeps.  All inputs and outputs are angular frequencies in rad/ns
 unless a name says otherwise.
@@ -30,9 +30,13 @@ class PolaritonPair:
     omega_plus: complex
     omega_minus: complex
 
-    def branch_near(self, omega: float) -> complex:
-        """The branch whose resonance lies closer to ``omega``."""
-        if abs(self.omega_plus.real - omega) <= abs(self.omega_minus.real - omega):
+    def branch_near(self, omega: complex) -> complex:
+        """The branch closer to ``omega`` in the complex plane.
+
+        Pass a bare complex line, ``omega_d - i*gamma`` or ``omega_c - i*kappa``:
+        on resonance both branches can share a real part and differ only in width.
+        """
+        if abs(self.omega_plus - omega) <= abs(self.omega_minus - omega):
             return self.omega_plus
         return self.omega_minus
 
@@ -44,41 +48,20 @@ def polariton_frequencies(params: SystemParams) -> PolaritonPair:
     ``sqrt(g**2 + ((delta - i*(gamma - kappa)) / 2)**2)`` with
     ``delta = omega_d - omega_c``; identical to the eigenvalues of the
     non-Hermitian matrix ``[[omega_d - i*gamma, g], [g, omega_c - i*kappa]]``.
-    In the decoupled limit the branches reduce to the bare dot and cavity
-    lines with their own decay rates.
+    In the decoupled limit (``g == 0``) the branches are exactly the bare dot
+    and cavity lines with their own decay rates.
     """
-    mean = 0.5 * (params.omega_c + params.omega_d) - 0.5j * (params.kappa + params.gamma)
-    half_diff = 0.5 * (params.detuning - 1j * (params.gamma - params.kappa))
-    root = np.sqrt(complex(params.g**2 + half_diff**2))
-    first, second = mean + root, mean - root
+    if params.g == 0.0:
+        first = complex(params.omega_d, -params.gamma)
+        second = complex(params.omega_c, -params.kappa)
+    else:
+        mean = 0.5 * (params.omega_c + params.omega_d) - 0.5j * (params.kappa + params.gamma)
+        half_diff = 0.5 * (params.detuning - 1j * (params.gamma - params.kappa))
+        root = np.sqrt(complex(params.g**2 + half_diff**2))
+        first, second = mean + root, mean - root
     if (first.real, first.imag) >= (second.real, second.imag):
         return PolaritonPair(omega_plus=first, omega_minus=second)
     return PolaritonPair(omega_plus=second, omega_minus=first)
-
-
-@dataclass(frozen=True)
-class DispersiveLinewidths:
-    """Full widths (energy decay rates) of the two branches, far detuned."""
-
-    cavity_like: float
-    qd_like: float
-
-
-def dispersive_linewidths(params: SystemParams) -> DispersiveLinewidths:
-    """Leading-order branch linewidths for ``|delta| >> g``.
-
-    The cavity-like line keeps ``2*kappa`` plus the exciton admixture
-    ``2*(g/delta)**2 * gamma``; the dot-like line is ``2*(gamma + gamma_d)``
-    plus the cavity admixture ``2*(g/delta)**2 * kappa``.
-    """
-    delta = params.detuning
-    if delta == 0.0:
-        raise ValueError("dispersive linewidths are undefined at zero detuning")
-    mixing = (params.g / delta) ** 2
-    return DispersiveLinewidths(
-        cavity_like=2.0 * params.kappa + 2.0 * mixing * params.gamma,
-        qd_like=2.0 * (params.gamma + params.gamma_d) + 2.0 * mixing * params.kappa,
-    )
 
 
 def cavity_feeding_estimate(kappa: float, delta: float) -> float:
@@ -141,8 +124,9 @@ class LinewidthModelParams:
     def from_system(cls, params: SystemParams, alpha: float) -> "LinewidthModelParams":
         """Populate the model from system rates.
 
-        ``delta_omega_c`` is the dispersive cavity admixture (zero for an
-        uncoupled dot); ``delta_omega_0 = 2 * (gamma + gamma_d)``.
+        ``delta_omega_c`` is the dispersive cavity admixture ``2*(g/delta)**2 *
+        kappa``, leading order for ``|delta| >> g`` (zero for an uncoupled dot);
+        ``delta_omega_0 = 2 * (gamma + gamma_d)``.
         """
         if params.g == 0.0:
             cavity_term = 0.0

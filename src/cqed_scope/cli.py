@@ -19,7 +19,6 @@ from .analytic import (
     LinewidthModelParams,
     cavity_feeding_estimate,
     combined_linewidth,
-    dispersive_linewidths,
     polariton_frequencies,
     power_broadened_linewidth,
 )
@@ -95,9 +94,8 @@ def cmd_analytic(args: argparse.Namespace) -> None:
     _emit("splitting_ghz", (pair.omega_plus.real - pair.omega_minus.real) / TWO_PI)
 
     if system.detuning != 0.0:
-        widths = dispersive_linewidths(system)
-        _emit("dispersive_cavity_fwhm_ghz", angular_to_ghz(widths.cavity_like))
-        _emit("dispersive_qd_fwhm_ghz", angular_to_ghz(widths.qd_like))
+        dot_width = combined_linewidth(LinewidthModelParams.from_system(system, 1.0), 0.0)
+        _emit("dispersive_qd_fwhm_ghz", angular_to_ghz(dot_width))
         _emit(
             "feeding_estimate_ghz",
             angular_to_ghz(cavity_feeding_estimate(system.kappa, system.detuning)),

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fit as _fit
-from .analytic import (
-    LinewidthModelParams,
-    combined_linewidth,
-    dispersive_linewidths,
-    polariton_frequencies,
-)
+from .analytic import LinewidthModelParams, combined_linewidth, polariton_frequencies
 from .dataset import ScanKind, SpectrumDataset
 from .errors import ConfigError, NumericalError, ScanError, TruncationError
 from .lindblad import (
@@ -123,26 +118,6 @@ def scan_laser(
     )
 
 
-def _predicted_fwhm(params: SystemParams, drive: DriveSpec) -> float:
-    """A priori linewidth used only for sizing scan windows (rad/ns)."""
-    if drive.target is DriveTarget.QD:
-        model = LinewidthModelParams.from_system(params, alpha=1.0)
-        width = combined_linewidth(model, drive.p_tilde(params))
-    elif params.g == 0.0:
-        width = 2.0 * params.kappa
-    else:
-        width = dispersive_linewidths(params).cavity_like
-    return float(width)
-
-
-def _scan_centre(params: SystemParams, drive: DriveSpec) -> float:
-    """Dressed resonance of the driven branch (rad/ns)."""
-    bare = params.omega_d if drive.target is DriveTarget.QD else params.omega_c
-    if params.g == 0.0:
-        return bare
-    return float(polariton_frequencies(params).branch_near(bare).real)
-
-
 def wavelength_window(
     centre_omega: float, fwhm_omega: float, span_fwhm: float, points: int
 ) -> np.ndarray:
@@ -158,10 +133,23 @@ def wavelength_window(
 def auto_scan_window(
     params: SystemParams, drive: DriveSpec, span_fwhm: float, points: int
 ) -> np.ndarray:
-    """Wavelength grid centred on the driven branch, sized from its predicted width."""
-    centre = _scan_centre(params, drive)
-    predicted = _predicted_fwhm(params, drive)
-    return wavelength_window(centre, predicted, span_fwhm, points)
+    """Wavelength grid centred on the driven branch, ``span_fwhm`` of its widths wide.
+
+    The driven branch is the exact polariton nearest the bare complex line the
+    laser drives, ``omega_d - i*gamma`` or ``omega_c - i*kappa``.  A cavity
+    drive takes that branch's own width ``-2 Im(omega)``.  The two-mode branch
+    carries neither pure dephasing nor power broadening, so a dot drive takes
+    the power-broadened dispersive dot width of ``combined_linewidth``.
+    """
+    pair = polariton_frequencies(params)
+    if drive.target is DriveTarget.QD:
+        branch = pair.branch_near(complex(params.omega_d, -params.gamma))
+        model = LinewidthModelParams.from_system(params, alpha=1.0)
+        width = combined_linewidth(model, drive.p_tilde(params))
+    else:
+        branch = pair.branch_near(complex(params.omega_c, -params.kappa))
+        width = -2.0 * branch.imag
+    return wavelength_window(branch.real, width, span_fwhm, points)
 
 
 @dataclass(frozen=True, eq=False)

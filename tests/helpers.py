@@ -91,6 +91,16 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
+def coupled_mode_matrix(params):
+    """Non-Hermitian two-mode matrix whose eigenvalues are the resonances."""
+    return np.array(
+        [
+            [params.omega_d - 1j * params.gamma, params.g],
+            [params.g, params.omega_c - 1j * params.kappa],
+        ]
+    )
+
+
 def liouvillian_oracle(ham: np.ndarray, terms) -> np.ndarray:
     """Dense generator ``K kron 1 + 1 kron R^T + sum_k r_k C_k kron conj(C_k)`` from ``np.kron``.
 
@@ -106,9 +116,16 @@ def liouvillian_oracle(ham: np.ndarray, terms) -> np.ndarray:
 
 
 def steady_state_oracle(liouvillian: np.ndarray) -> np.ndarray:
-    """Steady state as the SVD null vector of the unmodified generator, scaled to unit trace."""
+    """Steady state as the SVD null vector of the unmodified generator, scaled to unit trace.
+
+    The raw null vector misses ``L v = 0`` by about the smallest singular value, which can
+    reach 1e-12 of the state; one correction step from the same factorisation, ``v -= L⁺ L v``
+    over the other singular vectors, takes that to rounding.
+    """
     dim = int(round(np.sqrt(liouvillian.shape[0])))
-    null = np.linalg.svd(liouvillian)[2][-1].conj()
+    u, s, vh = np.linalg.svd(liouvillian)
+    null = vh[-1].conj()
+    null = null - vh[:-1].conj().T @ ((u[:, :-1].conj().T @ (liouvillian @ null)) / s[:-1])
     rho = null.reshape(dim, dim)
     return rho / np.trace(rho)
 

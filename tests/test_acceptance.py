@@ -12,7 +12,7 @@ import numpy as np
 
 from cqed_scope.analytic import (
     LinewidthModelParams,
-    dispersive_linewidths,
+    combined_linewidth,
     polariton_frequencies,
     power_broadened_linewidth,
 )
@@ -132,7 +132,7 @@ def test_02_dispersive_width_quartic_convergence(capsys):
             -2.0 * polariton_frequencies(params).branch_near(params.omega_d).imag
             + 2.0 * params.gamma_d
         )
-        approx = dispersive_linewidths(params).qd_like
+        approx = combined_linewidth(LinewidthModelParams.from_system(params, 1.0), 0.0)
         errors.append(abs(approx - exact))
     ratios = [errors[i] / errors[i + 1] for i in range(3)]
     elapsed = time.perf_counter() - start
@@ -188,7 +188,7 @@ def test_05_cavity_induced_dot_broadening(capsys):
     params = make_system(g=2.0, kappa=1.0, gamma=0.01, gamma_d=0.0, delta=20.0)
     p_tilde = 1e-4
     omega_rabi = np.sqrt(2.0 * params.gamma * (params.gamma + params.gamma_d) * p_tilde)
-    predicted = dispersive_linewidths(params).qd_like
+    predicted = combined_linewidth(LinewidthModelParams.from_system(params, 1.0), 0.0)
     centre = polariton_frequencies(params).branch_near(params.omega_d).real
     window = wavelength_window(centre, predicted, 6.0, 201)
     data = scan_laser(params, qd_drive(params.omega_d, omega_rabi), window, EmissionChannel.QD, 2)

@@ -4,19 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cqed_scope.analytic import (
     LinewidthModelParams,
     cavity_feeding_estimate,
     combined_linewidth,
-    dispersive_linewidths,
     fluorescence_intensity,
     polariton_frequencies,
     power_broadened_linewidth,
 )
 from cqed_scope.model import TWO_PI, SystemParams
+
+from helpers import coupled_mode_matrix
 
 OMEGA_REF = TWO_PI * 320_000.0  # generic near-infrared carrier (rad/ns)
 
@@ -30,16 +31,6 @@ def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, omega_c=OMEGA_REF):
         gamma_d=TWO_PI * gamma_d,
         omega_c=omega_c,
         omega_d=omega_c + TWO_PI * delta,
-    )
-
-
-def coupled_mode_matrix(params):
-    """Non-Hermitian two-mode matrix whose eigenvalues are the resonances."""
-    return np.array(
-        [
-            [params.omega_d - 1j * params.gamma, params.g],
-            [params.g, params.omega_c - 1j * params.kappa],
-        ]
     )
 
 
@@ -86,16 +77,16 @@ class TestPolaritonFrequencies:
         assert pair.omega_plus.imag <= 1e-12
         assert pair.omega_minus.imag <= 1e-12
 
-    def test_uncoupled_limit_returns_bare_modes(self):
-        params = make_system(g=0.0, kappa=2.0, gamma=0.5, delta=-40.0)
+    @given(physical_rates, physical_rates, st.floats(min_value=-300.0, max_value=300.0))
+    @example(kappa=2.0, gamma=0.5, delta=-40.0)
+    @example(kappa=1.0, gamma=0.01, delta=20.0)  # the coupled formula missed the dot by an ulp
+    @example(kappa=20.0, gamma=0.5, delta=0.0)
+    def test_uncoupled_limit_returns_bare_modes(self, kappa, gamma, delta):
+        params = make_system(g=0.0, kappa=kappa, gamma=gamma, delta=delta)
         pair = polariton_frequencies(params)
-        got = sorted([pair.omega_plus, pair.omega_minus], key=lambda z: z.real)
-        expected = sorted(
-            [params.omega_d - 1j * params.gamma, params.omega_c - 1j * params.kappa],
-            key=lambda z: z.real,
-        )
-        for ours, ref in zip(got, expected):
-            assert abs(ours - ref) < 1e-9
+        dot = complex(params.omega_d, -params.gamma)
+        cavity = complex(params.omega_c, -params.kappa)
+        assert {pair.omega_plus, pair.omega_minus} == {dot, cavity}
 
     def test_resonant_splitting(self):
         # On resonance the mode splitting is 2*sqrt(g^2 - (kappa-gamma)^2/4).
@@ -116,32 +107,15 @@ class TestPolaritonFrequencies:
         assert abs(near_cavity.real - params.omega_c) < abs(near_cavity.real - params.omega_d)
         assert near_dot != near_cavity
 
-
-class TestDispersiveLinewidths:
-    def test_hand_computed_values(self):
-        # g=10, delta=200 -> (g/delta)^2 = 1/400; kappa=20, gamma=0.5, gamma_d=1.5.
-        widths = dispersive_linewidths(make_system(10.0, 20.0, 0.5, 1.5, delta=200.0))
-        assert widths.cavity_like / TWO_PI == pytest.approx(40.0 + 2.0 * 0.5 / 400.0, rel=1e-12)
-        assert widths.qd_like / TWO_PI == pytest.approx(4.0 + 2.0 * 20.0 / 400.0, rel=1e-12)
-
-    def test_zero_detuning_rejected(self):
-        with pytest.raises(ValueError):
-            dispersive_linewidths(make_system(10.0, 20.0, 0.5, delta=0.0))
-
-    def test_approaches_exact_eigenvalue_width_far_detuned(self):
-        # At delta/g = 40 the quartic correction is tiny: the approximate
-        # dot-branch width agrees with the exact eigenvalue to 0.1%.
-        params = make_system(g=2.0, kappa=1.0, gamma=0.02, gamma_d=2.0, delta=80.0)
-        widths = dispersive_linewidths(params)
-        exact_branch = polariton_frequencies(params).branch_near(params.omega_d)
-        exact_width = -2.0 * exact_branch.imag + 2.0 * params.gamma_d
-        assert widths.qd_like == pytest.approx(exact_width, rel=1e-3)
-
-    @given(physical_rates, physical_rates, physical_rates, physical_rates)
-    def test_positive_for_positive_rates(self, g, kappa, gamma, gamma_d):
-        widths = dispersive_linewidths(make_system(g, kappa, gamma, gamma_d, delta=123.0))
-        assert widths.cavity_like > 0.0
-        assert widths.qd_like > 0.0
+    def test_branch_near_tells_resonant_branches_apart_by_width(self):
+        # Weak coupling on resonance: both branches sit at omega_c, one 1.4 GHz and one
+        # 39.6 GHz wide, so only the complex distance finds the cavity-like line.
+        params = make_system(g=2.0, kappa=20.0, gamma=0.5, delta=0.0)
+        pair = polariton_frequencies(params)
+        cavity_like = pair.branch_near(complex(params.omega_c, -params.kappa))
+        dot_like = pair.branch_near(complex(params.omega_d, -params.gamma))
+        assert -2.0 * cavity_like.imag / TWO_PI == pytest.approx(39.585, rel=1e-4)
+        assert -2.0 * dot_like.imag / TWO_PI == pytest.approx(1.415, rel=1e-3)
 
 
 class TestCavityFeedingEstimate:
@@ -213,6 +187,15 @@ class TestLinewidthModel:
             make_system(0.0, 20.0, 0.5, 1.5, delta=0.0), alpha=0.5
         )
         assert model.delta_omega_c == 0.0
+
+    def test_from_system_dot_width_approaches_the_exact_branch_far_detuned(self):
+        # At delta/g = 40 the quartic correction is tiny: the dispersive dot width agrees with
+        # the exact eigenvalue to 0.1%.
+        params = make_system(g=2.0, kappa=1.0, gamma=0.02, gamma_d=2.0, delta=80.0)
+        width = combined_linewidth(LinewidthModelParams.from_system(params, alpha=1.0), 0.0)
+        exact_branch = polariton_frequencies(params).branch_near(params.omega_d)
+        exact_width = -2.0 * exact_branch.imag + 2.0 * params.gamma_d
+        assert width == pytest.approx(exact_width, rel=1e-3)
 
     def test_from_system_rejects_coupled_resonant_case(self):
         with pytest.raises(ValueError):

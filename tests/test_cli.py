@@ -356,6 +356,18 @@ class TestScanCommand:
         # at this moderate detuning ratio.
         assert float(report["fwhm_ghz"]) == pytest.approx(5.03, rel=0.1)
 
+    def test_cavity_target_scan_fits_the_cavity_branch(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
+        rc, report, _ = run_cli(
+            capsys, ["scan", "--config", str(CONFIG_DIR / "example.ini"), "--target", "cavity"]
+        )
+        assert rc == 0
+        assert report["points"] == "201"
+        assert report["converged"] == "True"
+        assert len(read_csv(tmp_path / "example_scan.csv")) == 201
+        # `analytic` puts the cavity-like branch at 39.28 GHz full width.
+        assert float(report["fwhm_ghz"]) == pytest.approx(39.28, rel=0.03)
+
     def test_transfer_channel_width_matches_closed_form(self, tmp_path, capsys):
         """g = 0 with one-way transfer eta: width is 2*gamma + 2*gamma_d + eta."""
         text = """\

@@ -1,5 +1,6 @@
 """Laser-scan emulation, power sweeps and synthetic noise."""
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cqed_scope import lindblad
 from cqed_scope import scan as scan_module
+from cqed_scope.analytic import polariton_frequencies
 from cqed_scope.config import parse_config
 from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import (
@@ -37,7 +39,7 @@ from cqed_scope.scan import (
     wavelength_window,
 )
 
-from helpers import interpolated_fwhm, steady_state_oracle
+from helpers import coupled_mode_matrix, interpolated_fwhm, steady_state_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -479,6 +481,32 @@ class TestWindowSizing:
         dot_nm = angular_frequency_to_wavelength(params.omega_d)
         assert 0.5 * (grid[0] + grid[-1]) == pytest.approx(dot_nm, abs=1e-9)
 
+    def test_cavity_window_spans_the_cavity_branch_width(self):
+        # span_fwhm widths -2 Im(omega) of the exact branch nearest omega_c - i kappa; the
+        # first-order dispersive cavity width is 1.9 % wider on this system.
+        cfg = parse_config(CONFIG_DIR / "example.ini")
+        params = cfg.system
+        drive = dataclasses.replace(cfg, drive_target=DriveTarget.CAVITY).drive_template()
+        grid = auto_scan_window(params, drive, cfg.scan_span_fwhm, 201)
+        bare = complex(params.omega_c, -params.kappa)
+        branch = min(np.linalg.eigvals(coupled_mode_matrix(params)), key=lambda z: abs(z - bare))
+        centre_nm = angular_frequency_to_wavelength(branch.real)
+        width_nm = centre_nm**2 * (-2.0 * branch.imag / TWO_PI) / SPEED_OF_LIGHT_NM_GHZ
+        assert grid[-1] - grid[0] == pytest.approx(cfg.scan_span_fwhm * width_nm, rel=1e-9)
+        assert grid[100] == pytest.approx(centre_nm, rel=1e-15)
+
+    def test_resonant_weak_coupling_cavity_window_takes_the_cavity_line(self):
+        # Both branches sit at omega_c, 1.4 and 39.6 GHz wide; no dispersive width exists here.
+        params = make_system(g=2.0, kappa=20.0, gamma=0.5, cavity_nm=930.8)
+        drive = DriveSpec(
+            target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=TWO_PI * 1.0
+        )
+        grid = auto_scan_window(params, drive, 6.0, 201)
+        cavity_nm = angular_frequency_to_wavelength(params.omega_c)
+        span_ghz = (grid[-1] - grid[0]) * SPEED_OF_LIGHT_NM_GHZ / cavity_nm**2
+        assert span_ghz == pytest.approx(6.0 * 39.585, rel=1e-4)
+        assert grid[100] == pytest.approx(cavity_nm, rel=1e-15)
+
 
 class TestPowerSweep:
     def test_uncoupled_dot_sweep_matches_the_drive_response(self):
@@ -521,7 +549,8 @@ class TestPowerSweep:
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
         powers = np.geomspace(0.05, 8.0, 5)
         result = power_sweep(params, drive, powers, EmissionChannel.CAVITY, 2, scan_points=210)
-        centre_nm = [angular_frequency_to_wavelength(scan_module._scan_centre(params, drive))]
+        centre = polariton_frequencies(params).branch_near(complex(params.omega_d, -params.gamma))
+        centre_nm = [angular_frequency_to_wavelength(centre.real)]
         for power, value in zip(powers, result.saturation.y):
             fresh = per_point_spectrum(
                 params, drive.with_power(float(power)), centre_nm, EmissionChannel.CAVITY, 2, None
