@@ -318,7 +318,10 @@ def fit_saturation(data: SpectrumDataset) -> FitResult:
         cols[:, 1] = i_sat * (x / denom) / denom  # denom**2 overflows at large alpha
         return cols
 
-    p0 = np.array([1.5 * float(y.max()), 1.0 / float(np.median(x[x > 0.0]))])
+    # x is strictly increasing, so the median of its positive part is its middle.
+    positive = x[x > 0.0]
+    middle = positive[(positive.size - 1) // 2 : positive.size // 2 + 1].mean()
+    p0 = np.array([1.5 * float(y.max()), 1.0 / float(middle)])
     data_units = {"i_sat": (0.0, scale), "alpha_per_uw": (0.0, 1.0 / x_span)}
     result = _gauss_newton(FitModel.SATURATION, resid, jac, p0, data_units, scale)
     # Data whose best-fit curve never bends constrains only the product

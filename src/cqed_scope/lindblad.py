@@ -354,9 +354,9 @@ def solve_stack(
     also signalled by a singular block, raises
     :class:`~cqed_scope.errors.NonUniqueSteadyStateError`), the residual
     ``||L rho|| <= residual_tol * max(1, ||L||_F)``, and positivity.  Outside ``m = 0`` a state is
-    Hermitian by construction, so the Hermiticity guard tests only the centre's solve; the
-    residual applies the whole list, ``-m`` rows included, so it catches a generator that does
-    not preserve Hermiticity.  The Frobenius norms follow in closed form from the list,
+    Hermitian by construction, so the Hermiticity guard tests and symmetrises only the centre's
+    unknowns; the residual applies the whole list, ``-m`` rows included, so it catches a generator
+    that does not preserve Hermiticity.  The Frobenius norms follow in closed form from the list,
     ``||L0 + d S||**2 = ||L0||**2 + 2 d sum_i m_i Im(L0_ii) + d**2 sum_i m_i**2``.  An error
     describes the first failing point and carries its position in ``offsets`` as ``index``.
     """
@@ -385,13 +385,21 @@ def solve_stack(
 def _checked(
     sectors: _Sectors, steps: np.ndarray, norms: np.ndarray, residual_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One batch of :func:`solve_stack`: solve, then run every guard over the batch."""
+    """One batch of :func:`solve_stack`: solve, then run every guard over the batch.
+
+    Hermiticity is tested and enforced on the centre's unknowns alone: :meth:`_Sectors.solve`
+    fills each ``-m`` entry as the exact conjugate of its ``+m`` mirror, so elsewhere
+    ``rho - rho^+`` is exactly zero and ``(rho + rho^+) / 2`` equals ``rho``.
+    """
     k = steps.size
-    rhos = sectors.solve(steps).reshape(k, sectors.dim, sectors.dim)
-    adjoint = rhos.conj().transpose(0, 2, 1)
+    vecs = sectors.solve(steps)
+    rhos = vecs.reshape(k, sectors.dim, sectors.dim)
+    part = sectors.parts[sectors.centre]
+    centre = vecs[:, part]
+    adjoint = centre[:, sectors.swap].conj()
     scale = np.maximum(1.0, np.linalg.norm(rhos, axis=(1, 2)))
-    asymmetric = np.linalg.norm(rhos - adjoint, axis=(1, 2)) > 1e-8 * scale
-    rhos = 0.5 * (rhos + adjoint)
+    asymmetric = np.linalg.norm(centre - adjoint, axis=1) > 1e-8 * scale
+    vecs[:, part] = 0.5 * (centre + adjoint)
     traces = np.trace(rhos, axis1=1, axis2=2).real
     off_trace = ~(np.abs(traces - 1.0) <= 1e-6)
     rhos = rhos / np.where(off_trace, 1.0, traces)[:, None, None]

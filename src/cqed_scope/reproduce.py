@@ -133,14 +133,15 @@ def chained_fit_power_grid(alpha_per_uw: float) -> np.ndarray:
     Log-spaced points across the saturation knee pin the low-power
     extrapolation (the power-independent term); points uniform in the
     broadened width (square root of ``1 + aP``) give the power-broadening
-    coefficient a long, evenly weighted lever arm.
+    coefficient a long, evenly weighted lever arm.  The grid comes sorted, each power once.
     """
     if not alpha_per_uw > 0.0:
         raise ValueError("alpha_per_uw must be > 0")
     knee = np.geomspace(0.01 / alpha_per_uw, 5.0 / alpha_per_uw, KNEE_POINTS)
     root = np.linspace(np.sqrt(6.0), np.sqrt(1.0 + P_TILDE_MAX), LEVER_POINTS)
     lever = (root**2 - 1.0) / alpha_per_uw
-    return np.unique(np.concatenate([knee, lever]))
+    grid = np.sort(np.concatenate([knee, lever]))
+    return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
 def saturation_power_grid(alpha_per_uw: float) -> np.ndarray:

@@ -650,18 +650,12 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "g_ghz = 10" in proc.stdout
 
-    def test_scan_leaves_scipy_unimported(self, tmp_path):
-        # numpy is the only declared runtime dependency; importing scipy.sparse.linalg alone
-        # would take a scan's process from about 29 to 59 MiB.
-        script = (
-            "import sys\n"
-            "from cqed_scope.cli import main\n"
-            "code = main(['scan', '--config', 'configs/example.ini'])\n"
-            "print(code, 'scipy' in sys.modules)\n"
-        )
+    @staticmethod
+    def last_line(script, out_dir):
+        """The last line ``script`` prints in a fresh interpreter on the package's sources."""
         paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        env[OUTPUT_ENV_VAR] = str(tmp_path)
+        env[OUTPUT_ENV_VAR] = str(out_dir)
         proc = subprocess.run(
             [sys.executable, "-c", script],
             cwd=REPO,
@@ -671,4 +665,34 @@ class TestModuleEntryPoint:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        return proc.stdout.splitlines()[-1]
+
+    def test_scan_leaves_scipy_unimported(self, tmp_path):
+        # numpy is the only declared runtime dependency; importing scipy.sparse.linalg alone
+        # would take a scan's process from about 29 to 59 MiB.
+        script = (
+            "import sys\n"
+            "from cqed_scope.cli import main\n"
+            "code = main(['scan', '--config', 'configs/example.ini'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        assert self.last_line(script, tmp_path) == "0 False"
+
+    def test_passing_commands_skip_the_eigensolver_and_masked_arrays(self, tmp_path):
+        # A passing state is certified by a Cholesky factorisation, and the fits take no
+        # median or plain unique, whose first call imports numpy.ma (about 1.3 MiB).
+        saturation = tmp_path / "table1_S1_saturation.csv"
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from cqed_scope.cli import main\n"
+            "calls, eigvalsh = [], np.linalg.eigvalsh\n"
+            "np.linalg.eigvalsh = lambda *args, **kw: calls.append(1) or eigvalsh(*args, **kw)\n"
+            "codes = [main(['scan', '--config', 'configs/example.ini'])]\n"
+            "scans = len(calls)\n"
+            "codes.append(main(['power-sweep', '--config', 'configs/example.ini']))\n"
+            "codes.append(main(['reproduce', '--table', 'table1']))\n"
+            f"codes.append(main(['fit', 'saturation', {str(saturation)!r}]))\n"
+            "print(codes, scans, 'numpy.ma' in sys.modules)\n"
+        )
+        assert self.last_line(script, tmp_path) == "[0, 0, 0, 0] 0 False"

@@ -230,6 +230,30 @@ class TestFitSaturation:
         grad *= [1.0, 1.0 / p_max]
         assert np.linalg.norm(grad) <= 1e-6 * (1.0 + objective(params))
 
+    @settings(max_examples=100)
+    @given(
+        powers=st.lists(
+            st.floats(min_value=-5.0, max_value=1e4, allow_subnormal=False),
+            min_size=5, max_size=30, unique=True,
+        ).filter(lambda p: max(p) > 0.0),
+    )
+    @example(powers=[-1.0, 0.0, 0.5, 2.0, 3.0, 7.0])
+    @example(powers=[0.0, 0.25, 0.5, 2.0, 3.0, 7.0])
+    def test_start_point_takes_the_median_of_the_positive_powers(self, powers):
+        x = np.array(sorted(powers))
+        started = []
+
+        def recording(model, resid, jac, p0, data_units, scale):
+            started.append(p0.copy())
+            return solve(model, resid, jac, p0, data_units, scale)
+
+        solve = fit._gauss_newton
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fit, "_gauss_newton", recording)
+            fit_saturation(saturation_dataset(x, 3.0 * np.abs(x) / (1.0 + np.abs(x))))
+        scaled = x / x.max()
+        assert started[0][1] == 1.0 / float(np.median(scaled[scaled > 0.0]))
+
     def test_convergence_flag_certifies_the_gradient_criterion(self):
         # The exact analytic gradient at the reported optimum satisfies the
         # advertised convergence bound for order-one data.

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from cqed_scope.hilbert import (
+    POSITIVITY_SLACK,
     annihilation,
     basis_index,
     basis_numbers,
@@ -195,3 +198,62 @@ class TestValidateDensityMatrix:
             validate_density_matrix(rho, context="ctx")
         assert str(caught.value) == message
         assert not hasattr(caught.value, "index")
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex),
+            np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex),
+            np.array([[0.5, 0.0], [0.0, complex(0.5, np.inf)]]),
+            np.array([[np.inf, 0.0], [0.0, -np.inf]], dtype=complex),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, rho):
+        with pytest.raises(ValueError) as caught:
+            validate_density_matrix(rho, context="ctx")
+        assert str(caught.value) == "ctx: non-finite entry (nan or inf)"
+
+    def test_stack_names_its_first_non_finite_slice(self):
+        rng = np.random.default_rng(7)
+        stack = np.stack([random_density_matrix(rng, 4) for _ in range(5)])
+        stack[2, 1, 3] = np.nan
+        stack[4] = np.diag([1.1, -0.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite") as caught:
+            validate_density_matrix(stack)
+        assert caught.value.index == 2
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 12),
+        lowest=st.lists(
+            st.one_of(st.floats(-3e-8, 1e-8), st.floats(-0.2, 0.2)), min_size=1, max_size=4
+        ),
+    )
+    @example(seed=0, dim=6, lowest=[-0.9e-8])
+    @example(seed=0, dim=6, lowest=[-1.1e-8])
+    def test_positivity_verdict_matches_the_lowest_eigenvalue(self, seed, dim, lowest):
+        # Each slice is U diag(lowest, rest) U^+ with the rest positive and summing to
+        # 1 - lowest; the verdict must follow the eigenvalues of the Hermitian part.
+        rng = np.random.default_rng(seed)
+        stack = []
+        for value in lowest:
+            rest = rng.uniform(0.1, 1.0, dim - 1)
+            spectrum = np.concatenate([[value], rest * (1.0 - value) / rest.sum()])
+            u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            rho = (u * spectrum) @ u.conj().T
+            stack.append(0.5 * (rho + rho.conj().T))
+        stack = np.array(stack)
+        reference = np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))
+        reference = reference.min(axis=1)
+        assume(np.all(np.abs(reference + POSITIVITY_SLACK) >= 1e-12))
+        negative = np.flatnonzero(reference < -POSITIVITY_SLACK)
+        if negative.size == 0:
+            validate_density_matrix(stack)
+            return
+        j = int(negative[0])
+        with pytest.raises(ValueError) as caught:
+            validate_density_matrix(stack, context="ctx")
+        assert str(caught.value) == f"ctx: negative eigenvalue {reference[j]:.3e}"
+        assert caught.value.index == j
+        if lowest == [-1.1e-8]:
+            assert str(caught.value) == "ctx: negative eigenvalue -1.100e-08"

@@ -434,6 +434,40 @@ class TestSolveStack:
             solve_stack(lindblad._listed(bad), offsets)
         assert caught.value.index == first
 
+    def test_corrupted_centre_block_trips_the_hermiticity_guard(self, monkeypatch):
+        # Scaling the coupling of rho_{e0,e0} into the equation of rho_{g1,e0}, and not its
+        # mirror into rho_{e0,g1}, makes the centre's solve non-Hermitian by about 2e-3 of the
+        # excited population.  Four points to a batch, so the first affected point opens the second.
+        monkeypatch.setattr(lindblad, "STACK_BYTES", 1 << 15)
+        params = make_system(g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.5)
+        generator = build_liouvillian(
+            build_hamiltonian(params, cavity_drive(params.omega_c, TWO_PI * 3.0), 3), params
+        )
+        offsets = TWO_PI * np.array([-300.0, 200.0, -150.0, 100.0, 0.0, 5.0, -40.0])
+        dim = excitations(3).size
+        excited = basis_index(1, 0, 3)
+        row = basis_index(0, 1, 3) * dim + excited
+        col = excited * dim + excited
+        # Independently: the excited population stays below 1e-6 before point 4 and tops 0.05 there.
+        shift = laser_shift(excitations(3))
+        populations = [
+            steady_state_oracle(generator + np.diag(offset * shift))[excited, excited].real
+            for offset in offsets
+        ]
+        assert max(populations[:4]) < 1e-6 < 0.05 < populations[4]
+        gather = lindblad._Sectors.__init__
+
+        def corrupted(self, listed):
+            gather(self, listed)
+            r, c = np.searchsorted(self.parts[self.centre], [row, col])
+            assert r != c and self.blocks[self.centre, self.centre][r, c] != 0.0
+            self.blocks[self.centre, self.centre][r, c] *= 1.0 + 1e-3
+
+        monkeypatch.setattr(lindblad._Sectors, "__init__", corrupted)
+        with pytest.raises(NonUniqueSteadyStateError, match="not Hermitian") as caught:
+            solve_stack(lindblad._listed(generator), offsets)
+        assert caught.value.index == 4
+
     @settings(max_examples=40)
     @given(
         g=st.floats(0.0, 20.0),

@@ -97,6 +97,14 @@ class TestChainedFit:
         assert chained.linewidth is None
         assert "under-determined" in chained.saturation.message
 
+    @pytest.mark.parametrize("alpha", [0.37, 1.0, 2.0, 5.5])
+    def test_power_grid_is_the_sorted_union_of_knee_and_lever(self, alpha):
+        knee = np.geomspace(0.01 / alpha, 5.0 / alpha, 60)
+        lever = (np.linspace(np.sqrt(6.0), np.sqrt(201.0), 60) ** 2 - 1.0) / alpha
+        grid = chained_fit_power_grid(alpha)
+        assert np.array_equal(grid, np.unique(np.concatenate([knee, lever])))
+        assert np.all(np.diff(grid) > 0.0)
+
 
 class TestExcessSlopeFit:
     def test_noiseless_slope_exact(self):
