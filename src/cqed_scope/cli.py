@@ -242,8 +242,9 @@ def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
         _emit(f"{label}.delta_omega_c_fit_ghz", chained.linewidth.params["delta_omega_c_ghz"])
         _emit(f"{label}.delta_omega_0_true_ghz", rep.delta_omega_0_ghz)
         _emit(f"{label}.delta_omega_0_fit_ghz", chained.linewidth.params["delta_omega_0_ghz"])
-    feeding = cavity_feeding_estimate(cfg.system.kappa, cfg.system.detuning)
-    _emit(f"{label}.feeding_estimate_ghz", angular_to_ghz(feeding))
+    if cfg.system.detuning != 0.0:
+        feeding = cavity_feeding_estimate(cfg.system.kappa, cfg.system.detuning)
+        _emit(f"{label}.feeding_estimate_ghz", angular_to_ghz(feeding))
     if rep.reference_theory_ghz is not None:
         _emit(f"{label}.reference_theory_ghz", rep.reference_theory_ghz)
 

@@ -7,11 +7,11 @@ Four models are supported:
 * ``power_broadening`` : C + D * sqrt(1 + alpha_fixed * x)   (alpha fixed, closed form)
 * ``linear``           : m*x + b                              (closed form)
 
-The two nonlinear models, Lorentzian and saturation, share one damped
-Gauss-Newton solver with a Levenberg-Marquardt damping schedule (start 1e-3,
-times 10 on a rejected step, divide by 10 on an accepted one) and analytic
-Jacobians.  Their parameter uncertainties come from the inverse Gauss-Newton
-Hessian scaled by the residual variance.  The two models that are linear in
+The Lorentzian is solved by damped Gauss-Newton (Levenberg-Marquardt schedule:
+start 1e-3, times 10 on a rejected step, divide by 10 on an accepted one), the
+saturation curve, linear in ``I_sat``, by a bracketed search over one unknown.
+Both take uncertainties from the inverse Gauss-Newton Hessian of an analytic
+Jacobian scaled by the residual variance.  The two models that are linear in
 their parameters share one closed-form least-squares line.
 """
 
@@ -46,11 +46,14 @@ class FitResult:
     ``params`` and ``uncertainties`` are parallel name -> value maps; the
     uncertainties are 1-sigma estimates.  ``residual_norm`` is the root
     mean square residual.  The closed-form fits report ``converged`` with 0
-    iterations.  An iterative fit counts its Gauss-Newton steps, at most
-    ``MAX_ITERATIONS``, and sets ``converged`` exactly when the gradient of
-    the sum-of-squares objective at the returned parameters satisfies
-    ``||grad|| <= 1e-8 * (1 + objective)``, also after the last allowed
-    step; otherwise ``message`` says why it stopped.  The criterion is evaluated on
+    iterations.  The Lorentzian counts its Gauss-Newton steps, at most
+    ``MAX_ITERATIONS``; the saturation fit counts its steps in its one
+    unknown, which have no budget, and reports 0 for a verdict at either end.
+    An iterative fit sets ``converged`` exactly when the gradient of the
+    sum-of-squares objective at the returned parameters satisfies
+    ``||grad|| <= 1e-8 * (1 + objective)`` (for the saturation fit, the slope
+    of its profile, which bounds the gradient); otherwise ``message`` says
+    why it stopped.  The criterion is evaluated on
     the internally normalised problem (intensities divided by a power-of-two
     scale, sample coordinates mapped to an O(1) interval); for data that is
     already O(1) in both axes the normalisation is the identity and the
@@ -98,21 +101,16 @@ def _y_scale(y: np.ndarray) -> float:
 
 
 def _gauss_newton(
-    model: FitModel,
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
-    data_units: dict[str, tuple[float, float]],
-    y_scale: float,
-) -> FitResult:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, int, str]:
     """Damped Gauss-Newton iteration on ``sum(residual**2)`` of a normalised problem.
 
     The damping term is ``lam * diag(J^T J)`` (Marquardt scaling), which
-    keeps the schedule meaningful for badly scaled parameter sets.
-    ``data_units`` maps each parameter name, in the order of ``p0``, to the
-    ``(offset, factor)`` that takes its solved value ``p`` to the data's units
-    as ``offset + factor * p`` and its variance as ``factor**2 * var``;
-    ``y_scale`` takes the residuals to the data's units.
+    keeps the schedule meaningful for badly scaled parameter sets.  Returns
+    the parameters, their Jacobian and residual, ``converged``, the step count
+    and the reason for stopping short, in the order :func:`_fit_result` takes.
     """
     params = np.asarray(p0, dtype=float).copy()
     res = residual_fn(params)
@@ -183,6 +181,22 @@ def _gauss_newton(
             break
 
     # ``jac`` belongs to the returned parameters on every exit path.
+    return params, jac, res, converged, iterations, message
+
+
+def _fit_result(
+    model: FitModel, data_units: dict[str, tuple[float, float]], y_scale: float,
+    params: np.ndarray, jac: np.ndarray, res: np.ndarray,
+    converged: bool, iterations: int, message: str,
+) -> FitResult:
+    """A solution ``params`` of a normalised problem, with its ``jac`` and ``res``, in data units.
+
+    ``data_units`` maps each parameter name, in the order of ``params``, to the
+    ``(offset, factor)`` that takes its solved value ``p`` to the data's units
+    as ``offset + factor * p`` and its variance as ``factor**2 * var``;
+    ``y_scale`` takes the residuals to the data's units.
+    """
+    objective = float(res @ res)
     hessian = jac.T @ jac
     try:
         inv = np.linalg.inv(hessian)
@@ -276,7 +290,7 @@ def fit_lorentzian(data: SpectrumDataset) -> FitResult:
         "fwhm": (0.0, x_span),
         "baseline": (0.0, scale),
     }
-    result = _gauss_newton(FitModel.LORENTZIAN, resid, jac, p0, data_units, scale)
+    result = _fit_result(FitModel.LORENTZIAN, data_units, scale, *_gauss_newton(resid, jac, p0))
     result.params["fwhm"] = abs(result.params["fwhm"])  # model is even in the width
     return result
 
@@ -288,50 +302,80 @@ def fit_lorentzian(data: SpectrumDataset) -> FitResult:
 def fit_saturation(data: SpectrumDataset) -> FitResult:
     """Fit ``I_sat * alpha*x / (1 + alpha*x)`` to intensity versus power.
 
-    Raises :class:`~cqed_scope.errors.NoSignalError` on all-zero data.  When
-    the data never bends (far below saturation) only the product
-    ``I_sat * alpha`` is constrained; the alpha uncertainty then reaches the
-    value itself and the result is marked under-determined.
+    Variable projection (Golub & Pereyra 1973): with powers in units of the
+    largest one and ``beta = alpha/(1 + alpha)`` in ``[0, 1]``, the model is
+    ``c * g`` with ``g = x / (1 + beta*(x - 1))`` and a closed-form best ``c``.
+    Where the profile does not fall away from ``beta = 0`` by more than the
+    gradient criterion, the data never bend: ``alpha = 0``, ``I_sat = inf``.
+    Where it does not fall away from ``beta = 1``, every power is saturated:
+    ``alpha = inf``.  Both verdicts carry infinite uncertainties and a note.
+    Between them, Gauss-Newton steps on the projected residual are bracketed by
+    the sign of the profile's slope.  Raises ``NoSignalError`` on all-zero data.
     """
     x = data.x
     if x.size < 5:
         raise ValueError(f"saturation fit needs at least 5 samples, got {x.size}")
     if np.all(data.y == 0.0):
         raise NoSignalError("saturation data is identically zero")
-    if float(x.max()) <= 0.0:
-        raise ValueError("saturation fit needs positive powers")
-    scale = _y_scale(data.y)
-    y = data.y / scale
-    # Solve with powers rescaled to [0, 1]; alpha maps back afterwards.
-    x_span = float(x.max())
-    x = x / x_span
+    if float(x.min()) < 0.0:
+        raise ValueError("saturation fit needs powers >= 0")
+    scale, x_span = _y_scale(data.y), float(x.max())
+    y, x = data.y / scale, x / x_span
+    u, zero = 1.0 - x, x == 0.0  # g = x / (1 - beta*u), and 0 at zero power
 
-    def resid(p: np.ndarray) -> np.ndarray:
-        i_sat, alpha = p
-        return i_sat * alpha * x / (1.0 + alpha * x) - y
+    def profile(beta: float) -> tuple[float, np.ndarray, float, float]:
+        """``c``, ``r = y - c*g``, the Gauss-Newton step ``J_p.r / J_p.J_p`` and the
+        profile's fall ``2 J_p.r`` in units of the criterion, for the projected ``J_p``."""
+        den = np.where(zero, 1.0, 1.0 - beta * u)
+        g = x / den
+        dg = g * u / den
+        c = float(g @ y) / float(g @ g)
+        res = y - c * g
+        jp = c * (dg - g * (float(g @ dg) / float(g @ g)))
+        descent, curvature = float(jp @ res), float(jp @ jp)
+        step = descent / curvature if curvature else 0.0  # J_p = 0 only where c = 0
+        return c, res, step, 2.0 * descent / (GRADIENT_RTOL * (1.0 + float(res @ res)))
 
-    def jac(p: np.ndarray) -> np.ndarray:
-        i_sat, alpha = p
-        denom = 1.0 + alpha * x
-        cols = np.empty((x.size, 2))
-        cols[:, 0] = alpha * x / denom
-        cols[:, 1] = i_sat * (x / denom) / denom  # denom**2 overflows at large alpha
-        return cols
+    def verdict(i_sat: float, alpha: float, res: np.ndarray, message: str) -> FitResult:
+        return FitResult(
+            FitModel.SATURATION, {"i_sat": i_sat, "alpha_per_uw": alpha},
+            {"i_sat": math.inf, "alpha_per_uw": math.inf},
+            math.sqrt(float(res @ res) / res.size) * scale,
+            converged=False, iterations=0, message=message,
+        )
 
-    # x is strictly increasing, so the median of its positive part is its middle.
-    positive = x[x > 0.0]
-    middle = positive[(positive.size - 1) // 2 : positive.size // 2 + 1].mean()
-    p0 = np.array([1.5 * float(y.max()), 1.0 / float(middle)])
+    c, res, step, fall = profile(0.0)
+    if fall <= 1.0:
+        return verdict(math.inf, 0.0, res, "alpha under-determined; data never saturates")
+    top_c, top_res, _, top_fall = profile(1.0)
+    if top_fall >= -1.0:
+        return verdict(top_c * scale, math.inf, top_res,
+                       "alpha under-determined; data saturated at every power")
+
+    # Stop once the criterion holds twice running: the step past the first is
+    # nearly free and takes small residuals to rounding level.
+    lo, hi, beta, taken, iterations, settled, met = 0.0, 1.0, 0.0, 1.0, 0, False, False
+    while not (settled and met):
+        lo, hi = (beta, hi) if fall > 0.0 else (lo, beta)
+        trial = beta + step
+        # Bisect a step that leaves the bracket or does not halve the last one
+        # (Gauss-Newton converges only linearly on large residuals).
+        if not (lo < trial < hi and abs(step) <= 0.5 * abs(taken)):
+            trial = 0.5 * (lo + hi)
+        if beta + step == beta or trial in (lo, hi):
+            break
+        beta, taken, iterations = trial, trial - beta, iterations + 1
+        c, res, step, fall = profile(beta)
+        settled, met = met, abs(fall) <= 1.0
+
+    i_sat, alpha = c / beta, beta / (1.0 - beta)
+    denom = 1.0 + alpha * x
+    jac = np.column_stack([alpha * x / denom, i_sat * (x / denom) / denom])
     data_units = {"i_sat": (0.0, scale), "alpha_per_uw": (0.0, 1.0 / x_span)}
-    result = _gauss_newton(FitModel.SATURATION, resid, jac, p0, data_units, scale)
-    # Data whose best-fit curve never bends constrains only the product
-    # I_sat * alpha; the solver then walks an ever-flatter valley without
-    # converging and the local covariance underestimates the unconstrained
-    # direction.  Report the honest (infinite) alpha uncertainty for it.
-    never_saturates = not result.converged and result.params["alpha_per_uw"] * x_span < 0.1
-    if never_saturates:
-        result = replace(result, uncertainties={**result.uncertainties, "alpha_per_uw": math.inf})
-    if never_saturates or (result.param_unreliable("alpha_per_uw") and not result.message):
+    message = "" if met else "profile slope not resolved in floating point"
+    result = _fit_result(FitModel.SATURATION, data_units, scale, np.array([i_sat, alpha]), jac,
+                         res, met, iterations, message)
+    if result.param_unreliable("alpha_per_uw") and not result.message:
         result = replace(result, message="alpha under-determined; data never saturates")
     return result
 
@@ -360,19 +404,12 @@ def fit_power_broadening(data: SpectrumDataset, alpha_fixed: float) -> FitResult
     if data.x.min() < 0.0:
         raise ValueError("power-broadening fit needs powers >= 0")
     line = _straight_line(np.sqrt(1.0 + alpha_fixed * data.x), data.y)
+    names = {"delta_omega_c_ghz": "intercept", "delta_omega_0_ghz": "slope"}
     return replace(
         line,
         model=FitModel.POWER_BROADENING,
-        params={
-            "delta_omega_c_ghz": line.params["intercept"],
-            "delta_omega_0_ghz": line.params["slope"],
-            "alpha_per_uw": alpha_fixed,
-        },
-        uncertainties={
-            "delta_omega_c_ghz": line.uncertainties["intercept"],
-            "delta_omega_0_ghz": line.uncertainties["slope"],
-            "alpha_per_uw": 0.0,
-        },
+        params={**{k: line.params[v] for k, v in names.items()}, "alpha_per_uw": alpha_fixed},
+        uncertainties={**{k: line.uncertainties[v] for k, v in names.items()}, "alpha_per_uw": 0.0},
     )
 
 
@@ -390,7 +427,7 @@ def _straight_line(u: np.ndarray, y: np.ndarray) -> FitResult:
     residuals = slope * u + intercept - y
     ssr = float(residuals @ residuals)
     n = u.size
-    variance = ssr / (n - 2) if n > 2 else 0.0
+    variance = ssr / (n - 2) if n > 2 else math.inf  # two points leave no degree of freedom
     sigma_slope = math.sqrt(variance / sxx)
     sigma_intercept = math.sqrt(variance * (1.0 / n + u.mean() ** 2 / sxx))
     return FitResult(
@@ -424,10 +461,4 @@ def excess_broadening(linewidths: SpectrumDataset, intrinsic_fwhm: float) -> Spe
         raise ValueError("intrinsic width must be > 0")
     if linewidths.y_unit != "fwhm_ghz":
         raise ValueError("excess broadening applies to linewidth datasets only")
-    return SpectrumDataset(
-        kind=linewidths.kind,
-        x=linewidths.x.copy(),
-        y=linewidths.y - intrinsic_fwhm / TWO_PI,
-        x_unit=linewidths.x_unit,
-        y_unit=linewidths.y_unit,
-    )
+    return replace(linewidths, x=linewidths.x.copy(), y=linewidths.y - intrinsic_fwhm / TWO_PI)

@@ -1,6 +1,7 @@
 """Command-line behaviour: reports, exit codes, artifacts, determinism."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -469,6 +470,32 @@ class TestFitCommand:
         assert float(report["intercept"]) == pytest.approx(0.1, rel=1e-9)
 
 
+    def test_saturation_rejects_negative_powers(self, tmp_path, capsys):
+        path = tmp_path / "sat.csv"
+        path.write_text("power_uw,intensity\n-1,1.5\n0,0\n0.5,1\n2,2\n3,2.25\n7,2.625\n")
+        rc, report, captured = run_cli(capsys, ["fit", "saturation", str(path)])
+        assert rc == 2
+        assert report == {}
+        assert "sat.csv" in captured.err
+        assert "saturation fit needs powers >= 0" in captured.err
+
+    def test_saturation_of_a_straight_line_is_under_determined(self, tmp_path, capsys):
+        path = tmp_path / "line.csv"
+        path.write_text("power_uw,intensity\n1,2\n2,4\n3,6\n4,8\n5,10\n")
+        rc, report, _ = run_cli(capsys, ["fit", "saturation", str(path)])
+        assert rc == 0
+        assert report["note"] == "alpha under-determined; data never saturates"
+        assert report["alpha_per_uw_sigma"] == "inf"
+
+    def test_linear_fit_of_two_rows_claims_no_precision(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("power_uw,fwhm_ghz\n1,2\n2,3\n")
+        rc, report, _ = run_cli(capsys, ["fit", "linear", str(path)])
+        assert rc == 0
+        assert float(report["slope"]) == 1.0
+        assert report["slope_sigma"] == "inf"
+        assert report["intercept_sigma"] == "inf"
+
 class TestPowerSweepCommand:
     BARE_DOT = """\
 [system]
@@ -579,6 +606,23 @@ class TestReproduceCommand:
             )
             assert (tmp_path / f"table1_{label}_saturation.csv").is_file()
             assert (tmp_path / f"table1_{label}_linewidths.csv").is_file()
+
+    def test_table1_dot_on_the_cavity_omits_the_feeding_estimate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The feeding estimate is undefined at zero detuning; ``analytic`` omits it too.
+        config_dir = tmp_path / "table1"
+        shutil.copytree(CONFIG_DIR / "table1", config_dir)
+        s1 = config_dir / "S1.ini"
+        s1.write_text(s1.read_text().replace("qd_wavelength_nm = 934.15", "qd_wavelength_nm = 934.8"))
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
+        rc, report, captured = run_cli(
+            capsys, ["reproduce", "--table", "table1", "--config-dir", str(config_dir)]
+        )
+        assert rc == 0, captured.err
+        assert report["S1.alpha_reliable"] == "yes"
+        assert "S1.feeding_estimate_ghz" not in report
+        assert "S2.feeding_estimate_ghz" in report and "S3.feeding_estimate_ghz" in report
 
     def test_table2_rows_recover_slope(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))

@@ -199,7 +199,7 @@ class TestFitSaturation:
         noise=st.sampled_from([0.0, 1e-3, 0.03]),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    # Gauss-Newton walks alpha to ~1e155 here, where squaring 1 + alpha x overflows.
+    # Five noisy points on the plateau: the saturated-at-every-power verdict.
     @example(
         points=5, log_p_max=0.0, low_fraction=0.2895025473388038, log_spaced=False,
         log_saturation=1.8169884027349563, log_i_sat=0.0, noise=0.03, seed=2636,
@@ -230,29 +230,65 @@ class TestFitSaturation:
         grad *= [1.0, 1.0 / p_max]
         assert np.linalg.norm(grad) <= 1e-6 * (1.0 + objective(params))
 
-    @settings(max_examples=100)
-    @given(
-        powers=st.lists(
-            st.floats(min_value=-5.0, max_value=1e4, allow_subnormal=False),
-            min_size=5, max_size=30, unique=True,
-        ).filter(lambda p: max(p) > 0.0),
-    )
-    @example(powers=[-1.0, 0.0, 0.5, 2.0, 3.0, 7.0])
-    @example(powers=[0.0, 0.25, 0.5, 2.0, 3.0, 7.0])
-    def test_start_point_takes_the_median_of_the_positive_powers(self, powers):
-        x = np.array(sorted(powers))
-        started = []
-
-        def recording(model, resid, jac, p0, data_units, scale):
-            started.append(p0.copy())
-            return solve(model, resid, jac, p0, data_units, scale)
-
-        solve = fit._gauss_newton
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fit, "_gauss_newton", recording)
+    def test_negative_powers_rejected(self):
+        x = np.array([-1.0, 0.0, 0.5, 2.0, 3.0, 7.0])
+        with pytest.raises(ValueError, match="saturation fit needs powers >= 0"):
             fit_saturation(saturation_dataset(x, 3.0 * np.abs(x) / (1.0 + np.abs(x))))
-        scaled = x / x.max()
-        assert started[0][1] == 1.0 / float(np.median(scaled[scaled > 0.0]))
+
+    def test_zero_power_is_a_sample(self):
+        x = np.array([0.0, 0.25, 0.5, 2.0, 3.0, 7.0])
+        result = fit_saturation(saturation_dataset(x, 3.0 * x / (1.0 + x)))
+        assert result.converged and not result.message
+        assert result.params["alpha_per_uw"] == pytest.approx(1.0, rel=1e-9)
+        assert result.params["i_sat"] == pytest.approx(3.0, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        points=st.integers(min_value=5, max_value=200),
+        log_p_max=st.floats(min_value=-2.0, max_value=3.0),
+        log_spaced=st.booleans(),
+        log_saturation=st.floats(min_value=-3.0, max_value=3.0),
+        log_i_sat=st.floats(min_value=-6.0, max_value=6.0),
+    )
+    def test_noise_free_curves_resolve_alpha(
+        self, points, log_p_max, log_spaced, log_saturation, log_i_sat
+    ):
+        # Whether alpha is resolved follows alpha * P_max, never a step count.
+        p_max = 10.0**log_p_max
+        grid = np.geomspace if log_spaced else np.linspace
+        x = grid(p_max / points, p_max, points)
+        alpha = 10.0**log_saturation / p_max
+        result = fit_saturation(saturation_dataset(x, 10.0**log_i_sat * alpha * x / (1.0 + alpha * x)))
+        assert result.converged
+        assert result.message == ""
+        assert result.params["alpha_per_uw"] == pytest.approx(alpha, rel=1e-6)
+
+    @given(
+        points=st.integers(min_value=5, max_value=200),
+        log_p_max=st.floats(min_value=-2.0, max_value=3.0),
+        log_slope=st.floats(min_value=-6.0, max_value=6.0),
+        from_zero=st.booleans(),
+    )
+    def test_lines_through_the_origin_never_saturate(self, points, log_p_max, log_slope, from_zero):
+        p_max = 10.0**log_p_max
+        x = np.linspace(0.0 if from_zero else p_max / points, p_max, points)
+        result = fit_saturation(saturation_dataset(x, 10.0**log_slope * x))
+        assert result.message == "alpha under-determined; data never saturates"
+        assert result.uncertainties["alpha_per_uw"] == np.inf
+        assert result.params["alpha_per_uw"] == 0.0
+        assert not result.converged
+
+    def test_flat_noisy_data_saturates_at_every_power(self):
+        # The gradient test's explicit example: five noisy points on the plateau.
+        x = np.linspace(0.2895025473388038, 1.0, 5)
+        alpha = 10.0**1.8169884027349563
+        data = synthesize_noisy(saturation_dataset(x, alpha * x / (1.0 + alpha * x)), 0.03, 2636)
+        result = fit_saturation(data)
+        assert result.message == "alpha under-determined; data saturated at every power"
+        assert result.params["alpha_per_uw"] == np.inf
+        assert result.uncertainties["alpha_per_uw"] == np.inf
+        assert result.params["i_sat"] == pytest.approx(np.mean(data.y), rel=1e-12)
+        assert not result.converged and result.iterations == 0
 
     def test_convergence_flag_certifies_the_gradient_criterion(self):
         # The exact analytic gradient at the reported optimum satisfies the
@@ -390,6 +426,11 @@ class TestFitLinear:
         assert result.params["intercept"] == pytest.approx(0.0, abs=1e-15)
         assert result.converged
         assert result.iterations == 0
+
+    def test_two_points_leave_no_degrees_of_freedom(self):
+        data = linewidth_dataset(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+        result = fit_linear(data)
+        assert result.uncertainties == {"slope": np.inf, "intercept": np.inf}
 
     def test_noisy_slope_recovery(self):
         x = np.linspace(0.5, 25.0, 20)
