@@ -7,12 +7,12 @@ Four models are supported:
 * ``power_broadening`` : C + D * sqrt(1 + alpha_fixed * x)   (alpha fixed, closed form)
 * ``linear``           : m*x + b                              (closed form)
 
-The Lorentzian is solved by damped Gauss-Newton (Levenberg-Marquardt schedule:
-start 1e-3, times 10 on a rejected step, divide by 10 on an accepted one), the
-saturation curve, linear in ``I_sat``, by a bracketed search over one unknown.
-Both take uncertainties from the inverse Gauss-Newton Hessian of an analytic
-Jacobian scaled by the residual variance.  The two models that are linear in
-their parameters share one closed-form least-squares line.
+Both nonlinear models are solved by variable projection (Golub & Pereyra 1973):
+the Lorentzian, linear in amplitude and baseline, by Gauss-Newton in centre and
+width, the saturation curve, linear in ``I_sat``, by a bracketed search over one
+unknown.  Both take uncertainties from the inverse Gauss-Newton Hessian of an
+analytic Jacobian scaled by the residual variance.  The two models that are
+linear in their parameters share one closed-form least-squares line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -46,9 +45,10 @@ class FitResult:
     ``params`` and ``uncertainties`` are parallel name -> value maps; the
     uncertainties are 1-sigma estimates.  ``residual_norm`` is the root
     mean square residual.  The closed-form fits report ``converged`` with 0
-    iterations.  The Lorentzian counts its Gauss-Newton steps, at most
-    ``MAX_ITERATIONS``; the saturation fit counts its steps in its one
-    unknown, which have no budget, and reports 0 for a verdict at either end.
+    iterations.  The Lorentzian counts its Gauss-Newton steps in centre and
+    width, at most ``MAX_ITERATIONS``; the saturation fit counts its steps in
+    its one unknown, which have no budget, and reports 0 for a verdict at
+    either end.
     An iterative fit sets ``converged`` exactly when the gradient of the
     sum-of-squares objective at the returned parameters satisfies
     ``||grad|| <= 1e-8 * (1 + objective)`` (for the saturation fit, the slope
@@ -100,90 +100,6 @@ def _y_scale(y: np.ndarray) -> float:
     return float(2.0 ** math.floor(math.log2(top)))
 
 
-def _gauss_newton(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    p0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, int, str]:
-    """Damped Gauss-Newton iteration on ``sum(residual**2)`` of a normalised problem.
-
-    The damping term is ``lam * diag(J^T J)`` (Marquardt scaling), which
-    keeps the schedule meaningful for badly scaled parameter sets.  Returns
-    the parameters, their Jacobian and residual, ``converged``, the step count
-    and the reason for stopping short, in the order :func:`_fit_result` takes.
-    """
-    params = np.asarray(p0, dtype=float).copy()
-    res = residual_fn(params)
-    objective = float(res @ res)
-    lam = 1e-3
-    message = ""
-    converged = False
-    iterations = 0
-
-    while True:
-        jac = jacobian_fn(params)
-        gradient = 2.0 * jac.T @ res
-        if np.linalg.norm(gradient) <= GRADIENT_RTOL * (1.0 + objective):
-            converged = True
-            break
-        if iterations == MAX_ITERATIONS:
-            message = "no convergence within iteration budget"
-            break
-        iterations += 1
-
-        hessian = jac.T @ jac
-        diag = np.diag(hessian).copy()
-        if not np.all(np.isfinite(diag)) or np.all(diag == 0.0):
-            message = "degenerate jacobian; parameters not identifiable"
-            break
-        diag[diag <= 0.0] = diag[diag > 0.0].min()
-
-        accepted = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(hessian + lam * np.diag(diag), -jac.T @ res)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = params + step
-            trial_res = residual_fn(trial)
-            trial_obj = float(trial_res @ trial_res)
-            if math.isfinite(trial_obj) and trial_obj < objective:
-                params, res, objective = trial, trial_res, trial_obj
-                lam = max(lam / 10.0, 1e-15)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            # The damping search compares objectives in floating point, so
-            # near an optimum a genuine decrease can fall below the
-            # objective's granularity and every trial gets rejected.  An
-            # undamped Gauss-Newton polish within that granularity either
-            # reaches the gradient criterion or the stall is real.
-            for _ in range(3):
-                try:
-                    step = np.linalg.solve(jac.T @ jac, -jac.T @ res)
-                except np.linalg.LinAlgError:
-                    break
-                trial = params + step
-                trial_res = residual_fn(trial)
-                trial_obj = float(trial_res @ trial_res)
-                if not (math.isfinite(trial_obj) and trial_obj <= objective * (1.0 + 1e-10)):
-                    break
-                params, res, objective = trial, trial_res, trial_obj
-                jac = jacobian_fn(params)
-                gradient = 2.0 * jac.T @ res
-                if np.linalg.norm(gradient) <= GRADIENT_RTOL * (1.0 + objective):
-                    converged = True
-                    break
-            if not converged:
-                message = "damping overflow; no descent step found"
-            break
-
-    # ``jac`` belongs to the returned parameters on every exit path.
-    return params, jac, res, converged, iterations, message
-
-
 def _fit_result(
     model: FitModel, data_units: dict[str, tuple[float, float]], y_scale: float,
     params: np.ndarray, jac: np.ndarray, res: np.ndarray,
@@ -223,10 +139,12 @@ def _fit_result(
 def fit_lorentzian(data: SpectrumDataset) -> FitResult:
     """Fit a flat-baseline Lorentzian to a single-peaked scan.
 
-    Initial guesses: amplitude = peak minus floor, baseline = floor, centre
-    at the maximum sample, width from the half-prominence span.  The peak
-    must not sit on either window edge.  Constant data returns a
-    non-converged result with a flat-data note instead of raising.
+    Only centre and width are iterated, from the maximum sample and the
+    half-prominence span; every trial takes amplitude and baseline from a
+    closed-form linear least squares.  A step that does not lower the
+    objective is halved.  The peak must not sit on either window edge.
+    Constant data returns a non-converged result with a flat-data note
+    instead of raising.
     """
     x = data.x
     if x.size < 5:
@@ -267,30 +185,74 @@ def fit_lorentzian(data: SpectrumDataset) -> FitResult:
     if width0 <= 0.0:
         width0 = float(x[-1] - x[0]) / 4.0
 
-    def resid(p: np.ndarray) -> np.ndarray:
-        amp, x0, width, base = p
-        hw2 = (0.5 * width) ** 2
-        return amp * hw2 / ((x - x0) ** 2 + hw2) + base - y
+    y_mean = float(y.mean())
+    yc, ones = y - y_mean, np.ones_like(x)
 
-    def jac(p: np.ndarray) -> np.ndarray:
-        amp, x0, width, base = p
+    def project(centre: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+        """The parameters with the best amplitude and baseline for this centre and width
+        (a straight line in the unit-height shape), and their residual."""
         hw2 = (0.5 * width) ** 2
-        denom = (x - x0) ** 2 + hw2
-        cols = np.empty((x.size, 4))
-        cols[:, 0] = hw2 / denom
-        cols[:, 1] = amp * hw2 * 2.0 * (x - x0) / denom**2
-        cols[:, 2] = amp * (0.5 * width) * (x - x0) ** 2 / denom**2
-        cols[:, 3] = 1.0
-        return cols
+        shape = hw2 / ((x - centre) ** 2 + hw2)
+        shape_mean = float(shape.sum()) / x.size
+        dev = shape - shape_mean
+        spread = float(dev @ dev)  # 0 once the shape is flat in floating point
+        amp = float(dev @ yc) / spread if spread else 0.0
+        return np.array([amp, centre, width, y_mean - amp * shape_mean]), amp * dev - yc
 
-    p0 = np.array([amp0, float(x[peak]), width0, base0])
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        amp, centre, width, _ = p
+        u, hw = x - centre, 0.5 * width
+        denom = u * u + hw * hw
+        shape = hw * hw / denom
+        d_centre, d_width = 2.0 * amp * u * shape / denom, amp * shape * (1.0 - shape) / hw
+        return np.array([shape, d_centre, d_width, ones]).T
+
+    # Gauss-Newton in (centre, width) on the projected residual (variable projection,
+    # Golub & Pereyra 1973).  With amplitude and baseline optimal, the centre and width
+    # part of the full four-parameter step is Kaufman's projected step.
+    params, res = project(float(x[peak]), width0)
+    objective = float(res @ res)
+    converged, iterations, message = False, 0, ""
+    while True:
+        jac = jacobian(params)
+        descent = jac.T @ res
+        if 2.0 * np.linalg.norm(descent) <= GRADIENT_RTOL * (1.0 + objective):
+            converged = True
+            break
+        if iterations == MAX_ITERATIONS:
+            message = "no convergence within iteration budget"
+            break
+        iterations += 1
+        try:
+            step = np.linalg.solve(jac.T @ jac, -descent)[1:3]
+            degenerate = not np.all(np.isfinite(step))
+        except np.linalg.LinAlgError:
+            degenerate = True
+        if degenerate:
+            message = "degenerate jacobian; parameters not identifiable"
+            break
+        # Halve a step that does not lower the objective.  A full step may hold it
+        # within 1e-10: near the optimum a real decrease can fall below its rounding.
+        full = True
+        while np.any(params[1:3] + step != params[1:3]):
+            trial, trial_res = project(*(params[1:3] + step))
+            trial_obj = float(trial_res @ trial_res)
+            if trial_obj < objective or full and trial_obj <= objective * (1.0 + 1e-10):
+                params, res, objective = trial, trial_res, trial_obj
+                break
+            step, full = 0.5 * step, False
+        else:
+            message = "no descent step found"
+            break
+
     data_units = {
         "amplitude": (0.0, scale),
         "center": (x_mid, x_span),
         "fwhm": (0.0, x_span),
         "baseline": (0.0, scale),
     }
-    result = _fit_result(FitModel.LORENTZIAN, data_units, scale, *_gauss_newton(resid, jac, p0))
+    result = _fit_result(FitModel.LORENTZIAN, data_units, scale, params, jac, res, converged,
+                         iterations, message)
     result.params["fwhm"] = abs(result.params["fwhm"])  # model is even in the width
     return result
 
@@ -345,6 +307,7 @@ def fit_saturation(data: SpectrumDataset) -> FitResult:
         )
 
     c, res, step, fall = profile(0.0)
+    line_ssr = float(res @ res)
     if fall <= 1.0:
         return verdict(math.inf, 0.0, res, "alpha under-determined; data never saturates")
     top_c, top_res, _, top_fall = profile(1.0)
@@ -376,7 +339,10 @@ def fit_saturation(data: SpectrumDataset) -> FitResult:
     result = _fit_result(FitModel.SATURATION, data_units, scale, np.array([i_sat, alpha]), jac,
                          res, met, iterations, message)
     if result.param_unreliable("alpha_per_uw") and not result.message:
-        result = replace(result, message="alpha under-determined; data never saturates")
+        # Name the end that the data exclude least: the one where the profile lies lower.
+        saturated = float(top_res @ top_res) < line_ssr
+        end = "saturated at every power" if saturated else "never saturates"
+        result = replace(result, message=f"alpha under-determined; data {end}")
     return result
 
 

@@ -1,5 +1,7 @@
 """Least-squares models: line shapes, saturation, power broadening, lines."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +143,59 @@ class TestFitLorentzian:
         grad = central_gradient(objective, params, scales=[1.0, width, width, 1.0])
         grad *= [1.0, span, span, 1.0]
         assert np.linalg.norm(grad) <= 1e-6 * (1.0 + objective(params))
+
+    @settings(max_examples=150)
+    @given(
+        span_fwhm=st.floats(min_value=3.0, max_value=20.0),
+        centre_offset=st.floats(min_value=-0.25, max_value=0.25),
+        points=st.integers(min_value=21, max_value=401),
+        log_amplitude=st.floats(min_value=-3.0, max_value=4.0),
+        baseline_fraction=st.floats(min_value=0.0, max_value=0.5),
+    )
+    def test_noise_free_lines_are_recovered(
+        self, span_fwhm, centre_offset, points, log_amplitude, baseline_fraction
+    ):
+        # A window of 3-20 widths with the line well inside it pins all four parameters.
+        fwhm = 0.05
+        span = span_fwhm * fwhm
+        x = np.linspace(930.0, 930.0 + span, points)
+        centre = 930.0 + (0.5 + centre_offset) * span
+        amplitude = 10.0**log_amplitude
+        y = lorentzian(x, amplitude, centre, fwhm, baseline_fraction * amplitude)
+        result = fit_lorentzian(wavelength_dataset(x, y))
+        assert result.converged
+        assert result.message == ""
+        assert result.params["center"] == pytest.approx(centre, abs=1e-6 * fwhm)
+        assert result.params["fwhm"] == pytest.approx(fwhm, rel=1e-6)
+
+    def test_noisy_narrow_line_raises_no_numpy_warning(self):
+        x = np.linspace(930.0, 931.0, 185)
+        noise = 0.27 * np.random.default_rng(24).standard_normal(185)
+        y = np.clip(lorentzian(x, 1.0, 930.7583, 0.0112, 0.2) + noise, 0.0, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_lorentzian(wavelength_dataset(x, y))
+
+    @settings(max_examples=100)
+    @given(
+        points=st.integers(min_value=5, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(points=56, seed=13099)  # a trial width so large that the shape is flat
+    def test_noise_ends_with_a_reason(self, points, seed):
+        # Pure noise pins no line; the fit must still stop and, short of converging, say why.
+        x = np.linspace(930.0, 931.0, points)
+        y = np.random.default_rng(seed).random(points)
+        try:
+            result = fit_lorentzian(wavelength_dataset(x, y))
+        except IllPosedWindowError:
+            return
+        assert result.iterations <= fit.MAX_ITERATIONS
+        assert result.converged or result.message in {
+            "no convergence within iteration budget",
+            "degenerate jacobian; parameters not identifiable",
+            "no descent step found",
+        }
 
     def test_iteration_budget_exit(self, monkeypatch):
         x = np.linspace(930.9, 931.1, 201)
@@ -289,6 +344,16 @@ class TestFitSaturation:
         assert result.uncertainties["alpha_per_uw"] == np.inf
         assert result.params["i_sat"] == pytest.approx(np.mean(data.y), rel=1e-12)
         assert not result.converged and result.iterations == 0
+
+    def test_unresolved_alpha_names_the_end_not_excluded(self):
+        # Every power lies past the knee (alpha * P >= 10): the noise hides where the
+        # curve bends, but not that it bends, so the open end is saturation.
+        x = np.linspace(1.0 / 30.0, 1.0, 30)
+        clean = 1000.0 * 300.0 * x / (1.0 + 300.0 * x)
+        result = fit_saturation(synthesize_noisy(saturation_dataset(x, clean), 0.03, seed=108))
+        assert result.converged
+        assert result.param_unreliable("alpha_per_uw")
+        assert result.message == "alpha under-determined; data saturated at every power"
 
     def test_convergence_flag_certifies_the_gradient_criterion(self):
         # The exact analytic gradient at the reported optimum satisfies the
