@@ -10,7 +10,6 @@ from .analytic import (
     PolaritonPair,
     cavity_feeding_estimate,
     combined_linewidth,
-    fluorescence_intensity,
     polariton_frequencies,
     power_broadened_linewidth,
 )
@@ -50,11 +49,9 @@ from .model import (
     TWO_PI,
     DriveSpec,
     DriveTarget,
-    IncoherentChannels,
     SystemParams,
     angular_frequency_to_wavelength,
     angular_to_ghz,
-    detuning_from_wavelengths,
     ghz_to_angular,
     wavelength_to_angular_frequency,
 )
@@ -92,7 +89,6 @@ __all__ = [
     "FitModel",
     "FitResult",
     "IllPosedWindowError",
-    "IncoherentChannels",
     "LinewidthModelParams",
     "NoSignalError",
     "NonUniqueSteadyStateError",
@@ -120,7 +116,6 @@ __all__ = [
     "chained_fit_power_grid",
     "chained_linewidth_fit",
     "combined_linewidth",
-    "detuning_from_wavelengths",
     "excess_broadening",
     "excess_curve",
     "excess_slope_fit",
@@ -128,7 +123,6 @@ __all__ = [
     "fit_lorentzian",
     "fit_power_broadening",
     "fit_saturation",
-    "fluorescence_intensity",
     "ghz_to_angular",
     "linewidth_curve",
     "parse_config",

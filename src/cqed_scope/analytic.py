@@ -2,9 +2,8 @@
 
 These are the benchmarks the numerical engine is checked against: complex
 polariton frequencies of the linearised system, the far-detuned (dispersive)
-dot linewidth, the saturating fluorescence intensity of a resonantly driven
-two-level emitter, and the power-broadened linewidth model used to fit
-power sweeps.  All inputs and outputs are angular frequencies in rad/ns
+dot linewidth, and the power-broadened linewidth model used to fit power
+sweeps.  All inputs and outputs are angular frequencies in rad/ns
 unless a name says otherwise.
 """
 
@@ -76,18 +75,6 @@ def cavity_feeding_estimate(kappa: float, delta: float) -> float:
     if delta == 0.0:
         raise ValueError("estimate undefined at zero detuning")
     return 2.0 * kappa**3 / delta**2
-
-
-def fluorescence_intensity(p_tilde: float) -> float:
-    """Steady excited-state population of a resonantly driven emitter.
-
-    ``(p_tilde / 2) / (1 + p_tilde)`` with the dimensionless drive strength
-    ``p_tilde = omega_rabi**2 / (2 * gamma * (gamma + gamma_d))``; saturates
-    at 1/2.
-    """
-    if p_tilde < 0.0:
-        raise ValueError("p_tilde must be >= 0")
-    return 0.5 * p_tilde / (1.0 + p_tilde)
 
 
 def power_broadened_linewidth(gamma: float, gamma_d: float, p_tilde: float) -> float:

@@ -139,7 +139,6 @@ def cmd_scan(args: argparse.Namespace) -> None:
         window,
         observe,
         cfg.fock_cutoff,
-        channels=cfg.channels,
         residual_tol=cfg.steady_residual_tol,
     )
     data = _maybe_noisy(cfg, data)
@@ -157,8 +156,6 @@ def cmd_scan(args: argparse.Namespace) -> None:
 def cmd_power_sweep(args: argparse.Namespace) -> None:
     cfg = parse_config(args.config)
     powers = cfg.powers()
-    if not (powers > 0.0).any():
-        raise ConfigError("saturation unidentifiable: power grid has no positive powers")
     observe = EmissionChannel(args.observe)
     template = cfg.drive_template(power=float(powers[-1]))
     sat_path = _output_path(cfg, "saturation", args.saturation_out)
@@ -169,7 +166,6 @@ def cmd_power_sweep(args: argparse.Namespace) -> None:
         powers,
         observe,
         cfg.fock_cutoff,
-        channels=cfg.channels,
         scan_points=cfg.scan_points,
         span_fwhm=cfg.scan_span_fwhm,
         residual_tol=cfg.steady_residual_tol,

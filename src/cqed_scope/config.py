@@ -17,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .model import (
-    DriveSpec,
-    DriveTarget,
-    IncoherentChannels,
-    SystemParams,
-    ghz_to_angular,
-)
+from .model import DriveSpec, DriveTarget, SystemParams, ghz_to_angular
 
 #: Environment variable overriding the configured output directory.
 OUTPUT_ENV_VAR = "CQED_SCOPE_OUT"
@@ -85,6 +79,8 @@ _BOUNDS = {
     "workers": (lambda v: v >= 1, "must be >= 1"),
     "steady_residual_tol": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
     "i_sat_counts": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+    "transfer_qd_to_cavity_ghz": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
+    "transfer_cavity_to_qd_ghz": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
 }
 
 
@@ -106,7 +102,6 @@ class RunConfig:
     """Everything a command needs, already converted to internal units."""
 
     system: SystemParams
-    channels: IncoherentChannels
     drive_target: DriveTarget
     rabi_ghz: float | None
     power_uw: float | None
@@ -216,7 +211,7 @@ def parse_config(path: str | Path) -> RunConfig:
     }
     drive = values["drive"]
     try:
-        system = SystemParams.from_ghz_and_nm(**values["system"])
+        system = SystemParams.from_ghz_and_nm(**values["system"], **values.get("channels", {}))
     except ValueError as exc:
         raise ConfigError(f"{source}: invalid [system]: {exc}") from exc
 
@@ -247,19 +242,10 @@ def parse_config(path: str | Path) -> RunConfig:
     elif "power_scale" in drive:
         raise ConfigError(f"{source}: power_scale given without a power grid")
 
-    rates = values.get("channels", {})
-    try:
-        channels = IncoherentChannels(
-            **{key.removesuffix("_ghz"): ghz_to_angular(rate) for key, rate in rates.items()}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: invalid [channels]: {exc}") from exc
-
     # workers is accepted and range-checked for older configs, but scans run serially.
     numerics = {key: value for key, value in values.get("numerics", {}).items() if key != "workers"}
     return RunConfig(
         system=system,
-        channels=channels,
         drive_target=target,
         rabi_ghz=drive.get("rabi_ghz"),
         power_uw=drive.get("power_uw"),

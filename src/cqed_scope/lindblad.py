@@ -7,8 +7,8 @@ The density matrix evolves under
 
 with collapse terms ``2*kappa * D[a]`` (cavity leakage), ``2*gamma * D[sigma]``
 (exciton emission), ``2*gamma_d * D[sigma^+ sigma]`` (pure dephasing, chosen so
-the off-diagonal decay rate is exactly ``gamma + gamma_d``) and, optionally,
-one-way incoherent transfer terms ``D[a^+ sigma]`` / ``D[sigma^+ a]``.
+the off-diagonal decay rate is exactly ``gamma + gamma_d``) and, at the system's
+transfer rates, one-way incoherent transfer terms ``D[a^+ sigma]`` / ``D[sigma^+ a]``.
 
 The Hamiltonian is written in the frame rotating at the laser frequency, so
 only detunings from the laser appear.  The generator acts on the row-major
@@ -24,8 +24,8 @@ is block tridiagonal.  ``N = qd + n`` comes from the basis as exact integers
 (:func:`~cqed_scope.hilbert.basis_numbers`), which the Hamiltonian and the read-out share.  The
 generator maps ``rho^+`` to ``(L rho)^+``, so only the ``m >= 0`` half is solved and
 ``rho_{-m} = rho_m^+``.  A scan gathers its blocks once from the list and gets every point's
-state from one call, which batches internally (:func:`laser_scan_steady_states`);
-:func:`steady_state` is the one-point call.
+state from one call, which batches internally (:func:`laser_scan_steady_states`); a scan's cutoff
+probe is the same call at a larger cutoff.  :func:`steady_state` is the one-point call.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .hilbert import (
     qd_lowering,
     validate_density_matrix,
 )
-from .model import DriveSpec, DriveTarget, IncoherentChannels, SystemParams
+from .model import DriveSpec, DriveTarget, SystemParams
 
 #: Steady-state residual must satisfy ||L rho|| <= tol * max(1, ||L||_F).
 STEADY_RESIDUAL_TOL = 1e-9
@@ -155,30 +155,31 @@ def assemble_liouvillian(
 
 
 def _collapse_terms(
-    hamiltonian: np.ndarray, params: SystemParams, channels: IncoherentChannels | None
+    hamiltonian: np.ndarray, params: SystemParams
 ) -> list[tuple[float, np.ndarray]]:
     """The rates and jump operators of one dot-cavity system on the space of ``hamiltonian``."""
     dim = hamiltonian.shape[0]
     if dim % 2 != 0 or dim < 4:
         raise ValueError(f"expected a dot x Fock space of even dimension >= 4, got {dim}")
-    channels = channels or IncoherentChannels()
     sm, a = _ladder(dim // 2 - 1)
     return [
         (2.0 * params.kappa, a),
         (2.0 * params.gamma, sm),
         (2.0 * params.gamma_d, dagger(sm) @ sm),
-        (channels.transfer_qd_to_cavity, dagger(a) @ sm),
-        (channels.transfer_cavity_to_qd, dagger(sm) @ a),
+        (params.transfer_qd_to_cavity, dagger(a) @ sm),
+        (params.transfer_cavity_to_qd, dagger(sm) @ a),
     ]
 
 
-def build_liouvillian(
-    hamiltonian: np.ndarray,
-    params: SystemParams,
-    channels: IncoherentChannels | None = None,
-) -> np.ndarray:
+def build_liouvillian(hamiltonian: np.ndarray, params: SystemParams) -> np.ndarray:
     """Assemble the full dissipative generator for one dot-cavity system, densely."""
-    return assemble_liouvillian(hamiltonian, _collapse_terms(hamiltonian, params, channels))
+    return assemble_liouvillian(hamiltonian, _collapse_terms(hamiltonian, params))
+
+
+def _generator(params: SystemParams, drive: DriveSpec, n_max: int) -> Entries:
+    """The listed generator of one system under ``drive`` at Fock cutoff ``n_max``."""
+    ham = build_hamiltonian(params, drive, n_max)
+    return liouvillian_entries(ham, _collapse_terms(ham, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,15 +215,6 @@ def _read(rhos: np.ndarray, readout: np.ndarray) -> np.ndarray:
         terms[:, rows] = op[rows, cols] * rhos[:, cols, rows]
         reading[:, o] = terms.sum(axis=1)
     return reading
-
-
-def _observables(reading: np.ndarray) -> dict[str, float | complex]:
-    return {
-        "n_cavity": float(reading[0].real),
-        "n_qd": float(reading[1].real),
-        "a": complex(reading[2]),
-        "sigma": complex(reading[3]),
-    }
 
 
 def _solve_batch(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -438,70 +430,63 @@ def steady_state(
     left untouched.
     """
     rhos, residuals = solve_stack(_listed(liouvillian), np.zeros(1), residual_tol)
-    reading = _read(rhos, _readout(rhos.shape[1] // 2 - 1))[0]
-    return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=_observables(reading))
+    n_cavity, n_qd, a, sigma = _read(rhos, _readout(rhos.shape[1] // 2 - 1))[0]
+    observables = {
+        "n_cavity": float(n_cavity.real),
+        "n_qd": float(n_qd.real),
+        "a": complex(a),
+        "sigma": complex(sigma),
+    }
+    return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=observables)
 
 
 def laser_scan_steady_states(
     params: SystemParams,
     drive: DriveSpec,
     n_max: int,
-    channels: IncoherentChannels | None,
     laser_omegas: list[float],
     residual_tol: float = STEADY_RESIDUAL_TOL,
-) -> tuple[np.ndarray, SteadyState]:
-    """Steady-state readout at each laser frequency and the middle point's full state.
+) -> np.ndarray:
+    """Steady-state read-out ``(len(laser_omegas), 4)`` at each laser frequency.
 
-    Row ``j`` of the ``(len(laser_omegas), 4)`` readout holds ``<a^+a>, <sigma^+sigma>, <a>,
-    <sigma>`` at ``laser_omegas[j]``.  The generator is assembled once, at the middle frequency:
-    in the laser frame ``omega_l`` enters only as ``-omega_l N``, with ``N`` the basis' integer
-    excitation numbers, so each point is the shift by its distance from there (a nearby reference
-    keeps digits).  The middle state equals a fresh :func:`steady_state` at its frequency bit for
-    bit.  A failing point raises the error of :func:`solve_stack` with ``index`` its position in
-    ``laser_omegas``.
+    Row ``j`` holds ``<a^+a>, <sigma^+sigma>, <a>, <sigma>`` at ``laser_omegas[j]``.  The generator
+    is listed once, at the middle frequency: in the laser frame ``omega_l`` enters only as
+    ``-omega_l N``, with ``N`` the basis' integer excitation numbers, so each point is the shift by
+    its distance from there (a nearby reference keeps digits).  The middle row equals the read-out
+    of a fresh :func:`steady_state` at its frequency bit for bit, so a one-point call at a larger
+    cutoff is a scan's cutoff probe.  A failing point raises the error of :func:`solve_stack` with
+    ``index`` its position in ``laser_omegas``.
     """
-    middle = len(laser_omegas) // 2
-    omega_ref = laser_omegas[middle]
-    ham = build_hamiltonian(params, drive.with_laser_frequency(omega_ref), n_max)
+    omega_ref = laser_omegas[len(laser_omegas) // 2]
+    generator = _generator(params, drive.with_laser_frequency(omega_ref), n_max)
     offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
-    generator = liouvillian_entries(ham, _collapse_terms(ham, params, channels))
-    rhos, residuals = solve_stack(generator, offsets, residual_tol)
-    readings = _read(rhos, _readout(n_max))
-    # A copy, so that holding the middle state does not hold the whole scan's states.
-    rho = rhos[middle].copy()
-    return readings, SteadyState(rho, float(residuals[middle]), _observables(readings[middle]))
+    rhos, _ = solve_stack(generator, offsets, residual_tol)
+    return _read(rhos, _readout(n_max))
 
 
 def truncation_check(
     params: SystemParams,
     drive: DriveSpec,
     n_max: int,
-    channels: IncoherentChannels | None = None,
     residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> tuple[bool, float]:
-    """Solve at cutoff ``n_max``, then compare with ``n_max + 2`` by :func:`truncation_change`."""
-    ham = build_hamiltonian(params, drive, n_max)
-    generator = liouvillian_entries(ham, _collapse_terms(ham, params, channels))
-    lower = steady_state(generator, residual_tol)
-    return truncation_change(lower, params, drive, channels, residual_tol)
+    """Whether cutoff ``n_max`` holds for this drive: ``(change < TRUNCATION_RTOL, change)``.
 
-
-def truncation_change(
-    lower: SteadyState,
-    params: SystemParams,
-    drive: DriveSpec,
-    channels: IncoherentChannels | None = None,
-    residual_tol: float = STEADY_RESIDUAL_TOL,
-) -> tuple[bool, float]:
-    """Compare ``lower``, this drive's steady state at cutoff ``n``, with a solve at ``n + 2``.
-
-    Returns ``(converged, worst_relative_change)``.  The relative change uses an absolute
-    floor of 1e-6 occupation so that empty-cavity round-off does not register as disagreement.
+    ``change`` is :func:`truncation_change` of the steady states at ``n_max`` and ``n_max + 2``.
     """
-    n_max = lower.rho.shape[0] // 2 - 1
-    ham = build_hamiltonian(params, drive, n_max + 2)
-    generator = liouvillian_entries(ham, _collapse_terms(ham, params, channels))
-    upper = steady_state(generator, residual_tol)
-    pairs = [(lower.observables[k], upper.observables[k]) for k in ("n_cavity", "n_qd")]
-    worst = max(abs(lo - hi) / max(abs(lo), abs(hi), 1e-6) for lo, hi in pairs)
-    return worst < TRUNCATION_RTOL, worst
+    states = [steady_state(_generator(params, drive, n), residual_tol) for n in (n_max, n_max + 2)]
+    lower, upper = (np.array([[s.observables["n_cavity"], s.observables["n_qd"]]]) for s in states)
+    change = float(truncation_change(lower, upper)[0])
+    return change < TRUNCATION_RTOL, change
+
+
+def truncation_change(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Worst relative change in ``<a^+a>`` and ``<sigma^+sigma>`` of each read-out row.
+
+    ``lower`` and ``upper`` are ``(k, >= 2)`` rows that lead with those occupations, such as the
+    read-out of :func:`laser_scan_steady_states`, at a cutoff and a larger one.  Each change is
+    relative to the larger occupation with an absolute floor of 1e-6, so that empty-cavity
+    round-off does not register as disagreement.
+    """
+    lo, hi = np.asarray(lower)[:, :2].real, np.asarray(upper)[:, :2].real
+    return (np.abs(lo - hi) / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-6)).max(axis=1)

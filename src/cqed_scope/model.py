@@ -11,7 +11,9 @@ code never multiplies by 2*pi again.
 ``kappa`` and ``gamma`` are field (amplitude) decay rates: the cavity energy
 decay rate is ``2*kappa`` and the exciton spontaneous emission rate is
 ``2*gamma``.  ``gamma_d`` is the pure-dephasing rate, entering the
-off-diagonal decay as ``gamma + gamma_d``.
+off-diagonal decay as ``gamma + gamma_d``.  ``transfer_qd_to_cavity`` and
+``transfer_cavity_to_qd`` are the rates of the one-way incoherent channels
+``D[a^+ sigma]`` and ``D[sigma^+ a]``.
 """
 
 from __future__ import annotations
@@ -60,17 +62,6 @@ def fwhm_nm_to_ghz(fwhm_nm: float, centre_nm: float) -> float:
     return fwhm_nm * SPEED_OF_LIGHT_NM_GHZ / centre_nm**2
 
 
-def detuning_from_wavelengths(qd_wavelength_nm: float, cavity_wavelength_nm: float) -> float:
-    """Emitter-cavity detuning ``omega_qd - omega_cavity`` in rad/ns.
-
-    A quantum dot on the short-wavelength side of the cavity gives a
-    positive detuning.
-    """
-    return wavelength_to_angular_frequency(qd_wavelength_nm) - wavelength_to_angular_frequency(
-        cavity_wavelength_nm
-    )
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Rates and resonance frequencies of one dot-cavity system (rad/ns).
@@ -87,6 +78,8 @@ class SystemParams:
         Pure dephasing rate, ``gamma_d >= 0``.
     omega_c, omega_d : float
         Cavity and dot angular resonance frequencies.
+    transfer_qd_to_cavity, transfer_cavity_to_qd : float
+        One-way incoherent transfer rates between dot and cavity, ``>= 0``.
     """
 
     g: float
@@ -95,6 +88,8 @@ class SystemParams:
     gamma_d: float
     omega_c: float
     omega_d: float
+    transfer_qd_to_cavity: float = 0.0
+    transfer_cavity_to_qd: float = 0.0
 
     def __post_init__(self) -> None:
         if self.g < 0.0:
@@ -105,7 +100,10 @@ class SystemParams:
             raise ValueError(f"exciton decay gamma must be > 0, got {self.gamma}")
         if self.gamma_d < 0.0:
             raise ValueError(f"dephasing gamma_d must be >= 0, got {self.gamma_d}")
-        for name in ("g", "kappa", "gamma", "gamma_d", "omega_c", "omega_d"):
+        for name in ("transfer_qd_to_cavity", "transfer_cavity_to_qd"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in (field.name for field in dataclasses.fields(self)):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -123,6 +121,8 @@ class SystemParams:
         qd_wavelength_nm: float,
         cavity_wavelength_nm: float,
         gamma_d_ghz: float = 0.0,
+        transfer_qd_to_cavity_ghz: float = 0.0,
+        transfer_cavity_to_qd_ghz: float = 0.0,
     ) -> "SystemParams":
         """Build from boundary units: rates in GHz, resonances in nm."""
         return cls(
@@ -132,6 +132,8 @@ class SystemParams:
             gamma_d=ghz_to_angular(gamma_d_ghz),
             omega_c=wavelength_to_angular_frequency(cavity_wavelength_nm),
             omega_d=wavelength_to_angular_frequency(qd_wavelength_nm),
+            transfer_qd_to_cavity=ghz_to_angular(transfer_qd_to_cavity_ghz),
+            transfer_cavity_to_qd=ghz_to_angular(transfer_cavity_to_qd_ghz),
         )
 
 
@@ -203,18 +205,3 @@ class DriveSpec:
         if self.alpha is None:
             raise ValueError("cannot set power on a Rabi-style drive")
         return dataclasses.replace(self, power=power)
-
-
-@dataclass(frozen=True)
-class IncoherentChannels:
-    """Phenomenological one-way transfer rates between dot and cavity (rad/ns)."""
-
-    transfer_qd_to_cavity: float = 0.0
-    transfer_cavity_to_qd: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.transfer_qd_to_cavity < 0.0 or self.transfer_cavity_to_qd < 0.0:
-            raise ValueError("transfer rates must be >= 0")
-        for name in ("transfer_qd_to_cavity", "transfer_cavity_to_qd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")

@@ -22,14 +22,14 @@ from .dataset import ScanKind, SpectrumDataset
 from .errors import ConfigError, NumericalError, ScanError, TruncationError
 from .lindblad import (
     STEADY_RESIDUAL_TOL,
+    TRUNCATION_RTOL,
     laser_scan_steady_states,
-    steady_state,  # noqa: F401  bench/spans.py traces standalone solves through this name too
+    steady_state,  # noqa: F401  bench/test_bench.py checks that its tracer patches this name
     truncation_change,
 )
 from .model import (
     DriveSpec,
     DriveTarget,
-    IncoherentChannels,
     SPEED_OF_LIGHT_NM_GHZ,
     SystemParams,
     TWO_PI,
@@ -53,7 +53,6 @@ def scan_laser(
     wavelengths_nm: np.ndarray,
     observe: EmissionChannel,
     n_max: int,
-    channels: IncoherentChannels | None = None,
     check_truncation: bool = True,
     residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> SpectrumDataset:
@@ -61,9 +60,9 @@ def scan_laser(
 
     Parameters
     ----------
-    params, drive_template, channels
-        System description; the template's laser frequency is replaced per
-        grid point.
+    params, drive_template
+        System description, transfer rates included; the template's laser
+        frequency is replaced per grid point.
     wavelengths_nm
         Strictly increasing grid, at least 5 points, each within 5 nm of
         both bare resonances.
@@ -71,7 +70,8 @@ def scan_laser(
         Which decay channel feeds the detector.
     n_max
         Fock cutoff; unless ``check_truncation`` is disabled, the middle point's
-        steady state is compared after the scan with a solve at ``n_max + 2``.
+        read-out is compared after the scan with the same call at ``n_max + 2``
+        over that one point (:func:`~cqed_scope.lindblad.truncation_change`).
     residual_tol
         Steady-state residual tolerance for every solve, the check included.
     """
@@ -92,9 +92,7 @@ def scan_laser(
     rate, column = (params.gamma, 1) if observe is EmissionChannel.QD else (params.kappa, 0)
     omegas = [wavelength_to_angular_frequency(float(lam)) for lam in grid]
     try:
-        readings, middle = laser_scan_steady_states(
-            params, drive_template, n_max, channels, omegas, residual_tol
-        )
+        readings = laser_scan_steady_states(params, drive_template, n_max, omegas, residual_tol)
     except NumericalError as exc:
         lam = grid[exc.index]
         raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
@@ -104,9 +102,12 @@ def scan_laser(
         j = negative[0]
         raise ScanError(f"negative emission signal {signal[j]:.3e} at {grid[j]:.6f} nm")
     if check_truncation:
-        probe = drive_template.with_laser_frequency(omegas[grid.size // 2])
-        converged, change = truncation_change(middle, params, probe, channels, residual_tol)
-        if not converged:
+        middle = slice(grid.size // 2, grid.size // 2 + 1)
+        probe = laser_scan_steady_states(
+            params, drive_template, n_max + 2, omegas[middle], residual_tol
+        )
+        change = float(truncation_change(readings[middle], probe)[0])
+        if not change < TRUNCATION_RTOL:
             raise TruncationError(f"cutoff {n_max} not converged (change {change:.2e}); increase it")
 
     return SpectrumDataset(
@@ -156,13 +157,12 @@ def auto_scan_window(
 class PowerSweepResult:
     """Saturation curve plus per-power fitted linewidths.
 
-    ``linewidths`` is ``None`` when no positive power was swept; powers that
-    could not produce a linewidth (zero drive) are listed in
+    Powers that could not produce a linewidth (zero drive) are listed in
     ``skipped_powers``.
     """
 
     saturation: SpectrumDataset
-    linewidths: SpectrumDataset | None
+    linewidths: SpectrumDataset
     skipped_powers: tuple[float, ...]
 
 
@@ -172,7 +172,6 @@ def power_sweep(
     powers_uw: np.ndarray,
     observe: EmissionChannel,
     n_max: int,
-    channels: IncoherentChannels | None = None,
     scan_points: int = 201,
     span_fwhm: float = 6.0,
     residual_tol: float = STEADY_RESIDUAL_TOL,
@@ -196,6 +195,8 @@ def power_sweep(
         raise ValueError("power grid must be strictly increasing")
     if float(powers[0]) < 0.0:
         raise ValueError("powers must be >= 0")
+    if not powers[-1] > 0.0:
+        raise ValueError("saturation unidentifiable: power grid has no positive powers")
     scan_points = int(scan_points) | 1
 
     # Powers rise from >= 0, so only the first can be zero: no drive, no line to fit.
@@ -207,7 +208,7 @@ def power_sweep(
         drive = drive_template.with_power(float(power))
         grid = auto_scan_window(params, drive, span_fwhm, scan_points)
         dataset = scan_laser(
-            params, drive, grid, observe, n_max, channels,
+            params, drive, grid, observe, n_max,
             check_truncation=power == powers[-1], residual_tol=residual_tol,
         )
         try:
@@ -226,15 +227,13 @@ def power_sweep(
         x_unit="uW",
         y_unit="intensity",
     )
-    linewidths = None
-    if fitted_powers.size:
-        linewidths = SpectrumDataset(
-            kind=ScanKind.POWER_SWEEP,
-            x=np.array(fitted_powers),
-            y=np.array(fitted_fwhm_ghz[::-1]),
-            x_unit="uW",
-            y_unit="fwhm_ghz",
-        )
+    linewidths = SpectrumDataset(
+        kind=ScanKind.POWER_SWEEP,
+        x=np.array(fitted_powers),
+        y=np.array(fitted_fwhm_ghz[::-1]),
+        x_unit="uW",
+        y_unit="fwhm_ghz",
+    )
     return PowerSweepResult(saturation=saturation, linewidths=linewidths, skipped_powers=skipped)
 
 

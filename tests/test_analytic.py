@@ -11,7 +11,6 @@ from cqed_scope.analytic import (
     LinewidthModelParams,
     cavity_feeding_estimate,
     combined_linewidth,
-    fluorescence_intensity,
     polariton_frequencies,
     power_broadened_linewidth,
 )
@@ -133,25 +132,6 @@ class TestCavityFeedingEstimate:
     def test_domain_guards(self, kappa, delta):
         with pytest.raises(ValueError):
             cavity_feeding_estimate(kappa, delta)
-
-
-class TestFluorescenceIntensity:
-    def test_known_values(self):
-        assert fluorescence_intensity(0.0) == 0.0
-        assert fluorescence_intensity(1.0) == pytest.approx(0.25, rel=1e-15)
-        assert fluorescence_intensity(3.0) == pytest.approx(0.375, rel=1e-15)
-
-    def test_saturates_at_one_half(self):
-        assert fluorescence_intensity(1e8) == pytest.approx(0.5, rel=1e-7)
-        assert fluorescence_intensity(1e8) < 0.5
-
-    @given(st.floats(min_value=0.0, max_value=1e3), st.floats(min_value=1e-4, max_value=10.0))
-    def test_monotone_in_drive(self, p_tilde, increment):
-        assert fluorescence_intensity(p_tilde + increment) > fluorescence_intensity(p_tilde)
-
-    def test_negative_drive_rejected(self):
-        with pytest.raises(ValueError):
-            fluorescence_intensity(-0.1)
 
 
 class TestPowerBroadenedLinewidth:

@@ -13,7 +13,7 @@ from cqed_scope.analytic import LinewidthModelParams
 from cqed_scope.cli import main
 from cqed_scope.config import OUTPUT_ENV_VAR, parse_config
 from cqed_scope.dataset import ScanKind, SpectrumDataset, read_csv, write_csv
-from cqed_scope.model import TWO_PI, detuning_from_wavelengths
+from cqed_scope.model import TWO_PI, SystemParams
 from cqed_scope.reproduce import (
     chained_fit_power_grid,
     excess_curve,
@@ -76,7 +76,14 @@ class TestAnalyticCommand:
             capsys, ["analytic", "--config", str(CONFIG_DIR / "table1" / "S1.ini")]
         )
         assert rc == 0
-        expected_ghz = detuning_from_wavelengths(934.15, 934.8) / (2.0 * np.pi)
+        system = SystemParams.from_ghz_and_nm(
+            g_ghz=1.0,
+            kappa_ghz=1.0,
+            gamma_ghz=1.0,
+            qd_wavelength_nm=934.15,
+            cavity_wavelength_nm=934.8,
+        )
+        expected_ghz = system.detuning / (2.0 * np.pi)
         # The report is printed at 10 significant digits.
         assert float(report["detuning_ghz"]) == pytest.approx(expected_ghz, rel=1e-9)
         # The feeding estimate lands on this row's quoted theory value.

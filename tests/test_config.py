@@ -10,6 +10,7 @@ from cqed_scope.config import OUTPUT_ENV_VAR, _KEYS, parse_config
 from cqed_scope.errors import ConfigError
 from cqed_scope.model import (
     DriveTarget,
+    SystemParams,
     ghz_to_angular,
     wavelength_to_angular_frequency,
 )
@@ -132,8 +133,8 @@ class TestDefaults:
         assert cfg.steady_residual_tol == 1e-9
         assert cfg.output_directory == "."
         assert cfg.output_stem == "cqed"
-        assert cfg.channels.transfer_qd_to_cavity == 0.0
-        assert cfg.channels.transfer_cavity_to_qd == 0.0
+        assert cfg.system.transfer_qd_to_cavity == 0.0
+        assert cfg.system.transfer_cavity_to_qd == 0.0
 
     def test_no_grid_powers_raises(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, BASE))
@@ -314,7 +315,7 @@ class TestRejections:
 
     def test_invalid_channel_rate_wrapped(self, tmp_path):
         text = BASE + "\n[channels]\ntransfer_qd_to_cavity_ghz = -2.0\n"
-        with pytest.raises(ConfigError, match=r"invalid \[channels\]"):
+        with pytest.raises(ConfigError, match="transfer_qd_to_cavity_ghz must be finite and >= 0"):
             parse_config(write_config(tmp_path, text))
 
     def test_power_style_template_without_power_wrapped(self, tmp_path):
@@ -339,8 +340,21 @@ class TestDriveTemplateVariants:
     def test_channels_parsed_to_angular(self, tmp_path):
         text = BASE + "\n[channels]\ntransfer_qd_to_cavity_ghz = 0.3\n"
         cfg = parse_config(write_config(tmp_path, text))
-        assert cfg.channels.transfer_qd_to_cavity == ghz_to_angular(0.3)
-        assert cfg.channels.transfer_cavity_to_qd == 0.0
+        assert cfg.system.transfer_qd_to_cavity == ghz_to_angular(0.3)
+        assert cfg.system.transfer_cavity_to_qd == 0.0
+
+    def test_channels_parse_to_the_boundary_constructor(self, tmp_path):
+        rates = {"transfer_qd_to_cavity_ghz": 3.0, "transfer_cavity_to_qd_ghz": 1.5}
+        text = BASE + "\n[channels]\n" + "".join(f"{k} = {v}\n" for k, v in rates.items())
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg.system == SystemParams.from_ghz_and_nm(
+            qd_wavelength_nm=931.0,
+            cavity_wavelength_nm=930.8,
+            g_ghz=10.0,
+            kappa_ghz=20.0,
+            gamma_ghz=0.5,
+            **rates,
+        )
 
 
 MINIMAL = {

@@ -25,7 +25,7 @@ from cqed_scope.lindblad import (
     steady_state,
     truncation_check,
 )
-from cqed_scope.model import TWO_PI, DriveSpec, DriveTarget, IncoherentChannels, SystemParams
+from cqed_scope.model import TWO_PI, DriveSpec, DriveTarget, SystemParams
 
 from helpers import (
     basis_projector,
@@ -41,7 +41,8 @@ from helpers import (
 OMEGA_REF = TWO_PI * 320_000.0
 
 
-def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0):
+def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, to_cavity=0.0, to_qd=0.0):
+    """A system from rates in GHz; ``to_cavity`` and ``to_qd`` are the one-way transfer rates."""
     return SystemParams(
         g=TWO_PI * g,
         kappa=TWO_PI * kappa,
@@ -49,6 +50,8 @@ def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0):
         gamma_d=TWO_PI * gamma_d,
         omega_c=OMEGA_REF,
         omega_d=OMEGA_REF + TWO_PI * delta,
+        transfer_qd_to_cavity=TWO_PI * to_cavity,
+        transfer_cavity_to_qd=TWO_PI * to_qd,
     )
 
 
@@ -178,13 +181,12 @@ class TestAssembleLiouvillian:
 
 class TestBuildLiouvillian:
     def test_full_generator_matches_hand_written_form(self):
-        params = make_system(g=4.0, kappa=2.0, gamma=0.5, gamma_d=1.0, delta=-30.0)
-        channels = IncoherentChannels(
-            transfer_qd_to_cavity=TWO_PI * 0.2, transfer_cavity_to_qd=TWO_PI * 0.05
+        params = make_system(
+            g=4.0, kappa=2.0, gamma=0.5, gamma_d=1.0, delta=-30.0, to_cavity=0.2, to_qd=0.05
         )
         n_max = 1
         ham = build_hamiltonian(params, qd_drive(params.omega_d, TWO_PI * 0.7), n_max)
-        lv = build_liouvillian(ham, params, channels)
+        lv = build_liouvillian(ham, params)
 
         sigma = lift_qd(qd_lowering(), n_max)
         a = lift_cavity(annihilation(n_max), n_max)
@@ -192,8 +194,8 @@ class TestBuildLiouvillian:
             (2.0 * params.kappa, a),
             (2.0 * params.gamma, sigma),
             (2.0 * params.gamma_d, dagger(sigma) @ sigma),
-            (channels.transfer_qd_to_cavity, dagger(a) @ sigma),
-            (channels.transfer_cavity_to_qd, dagger(sigma) @ a),
+            (params.transfer_qd_to_cavity, dagger(a) @ sigma),
+            (params.transfer_cavity_to_qd, dagger(sigma) @ a),
         ]
         rho = random_density_matrix(np.random.default_rng(9), 4)
         action = (lv @ rho.reshape(-1)).reshape(rho.shape)
@@ -219,7 +221,7 @@ class TestBuildLiouvillian:
     def test_listed_non_zeros_match_the_kronecker_oracle(
         self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, rabi_ghz
     ):
-        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
+        params = random_system(g, kappa, gamma, gamma_d, delta, transfer)
         drive = DriveSpec(target=target, omega_l=params.omega_c, omega_rabi=TWO_PI * rabi_ghz)
         ham = build_hamiltonian(params, drive, n_max)
         sigma = lift_qd(qd_lowering(), n_max)
@@ -228,8 +230,8 @@ class TestBuildLiouvillian:
             (2.0 * params.kappa, a),
             (2.0 * params.gamma, sigma),
             (2.0 * params.gamma_d, dagger(sigma) @ sigma),
-            (channels.transfer_qd_to_cavity, dagger(a) @ sigma),
-            (channels.transfer_cavity_to_qd, dagger(sigma) @ a),
+            (params.transfer_qd_to_cavity, dagger(a) @ sigma),
+            (params.transfer_cavity_to_qd, dagger(sigma) @ a),
         ]
         size, rows, cols, values = lindblad.liouvillian_entries(ham, terms)
         scattered = np.zeros((size, size), dtype=complex)
@@ -240,7 +242,7 @@ class TestBuildLiouvillian:
         np.testing.assert_allclose(scattered, oracle, rtol=0.0, atol=1e-14 * np.abs(oracle).max())
         assert np.all(np.diff(rows * size + cols) > 0)
         assert np.all(values != 0.0)
-        dense = build_liouvillian(ham, params, channels)
+        dense = build_liouvillian(ham, params)
         assert np.array_equal(dense.view(np.uint64), scattered.view(np.uint64))
 
 
@@ -267,12 +269,10 @@ def trace_kernel_generator(v, rates):
 
 
 def random_system(g, kappa, gamma, gamma_d, delta, transfer):
-    params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
-    channels = IncoherentChannels(
-        transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
-        transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
+    return make_system(
+        g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta,
+        to_cavity=0.7 * transfer, to_qd=0.3 * transfer,
     )
-    return params, channels
 
 
 class TestSolveStack:
@@ -291,12 +291,12 @@ class TestSolveStack:
     def test_shifted_solves_match_fresh_assembly(
         self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, stack_bytes
     ):
-        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
+        params = random_system(g, kappa, gamma, gamma_d, delta, transfer)
         centre = params.omega_d if target is DriveTarget.QD else params.omega_c
         drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * 1.0)
         width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
         omegas = centre + width * np.linspace(-3.0, 3.0, 9)
-        reference = build_liouvillian(build_hamiltonian(params, drive, n_max), params, channels)
+        reference = build_liouvillian(build_hamiltonian(params, drive, n_max), params)
 
         listed, offsets = lindblad._listed(reference), omegas - centre
         with pytest.MonkeyPatch.context() as patch:
@@ -305,7 +305,7 @@ class TestSolveStack:
             scales = []
             for omega, rho, residual in zip(omegas, rhos, residuals):
                 ham = build_hamiltonian(params, drive.with_laser_frequency(omega), n_max)
-                fresh = build_liouvillian(ham, params, channels)
+                fresh = build_liouvillian(ham, params)
                 scales.append(max(1.0, np.linalg.norm(fresh)))
                 assert np.linalg.norm(fresh @ rho.reshape(-1)) <= 1e-9 * scales[-1]
                 np.testing.assert_allclose(rho, steady_state(fresh).rho, rtol=0.0, atol=1e-10)
@@ -384,10 +384,10 @@ class TestSolveStack:
     ):
         # Only the +m sectors and the centre are solved; each -m sector is filled as the
         # conjugate transpose, so outside m = 0 the mirror holds bit for bit.
-        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
+        params = random_system(g, kappa, gamma, gamma_d, delta, transfer)
         centre = params.omega_d if target is DriveTarget.QD else params.omega_c
         drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * 1.0)
-        generator = build_liouvillian(build_hamiltonian(params, drive, n_max), params, channels)
+        generator = build_liouvillian(build_hamiltonian(params, drive, n_max), params)
         number = excitations(n_max)
         shift = laser_shift(number)
         offsets = TWO_PI * np.array(offsets_ghz)
@@ -484,9 +484,9 @@ class TestSolveStack:
         self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, rabi_ghz
     ):
         # The sector solve's premise: only the drive changes m = N_i - N_j, and by one.
-        params, channels = random_system(g, kappa, gamma, gamma_d, delta, transfer)
+        params = random_system(g, kappa, gamma, gamma_d, delta, transfer)
         drive = DriveSpec(target=target, omega_l=params.omega_c, omega_rabi=TWO_PI * rabi_ghz)
-        generator = build_liouvillian(build_hamiltonian(params, drive, n_max), params, channels)
+        generator = build_liouvillian(build_hamiltonian(params, drive, n_max), params)
         sector = laser_shift(excitations(n_max)).imag
         rows, cols = np.nonzero(generator)
         steps = np.abs(sector[rows] - sector[cols])
@@ -563,8 +563,8 @@ class TestSteadyState:
         ham = build_hamiltonian(params, drive, n_max=1)
         dark = steady_state(build_liouvillian(ham, params))
         assert dark.observables["n_cavity"] == pytest.approx(0.0, abs=1e-12)
-        channels = IncoherentChannels(transfer_qd_to_cavity=TWO_PI * 0.1)
-        fed = steady_state(build_liouvillian(ham, params, channels))
+        fed_params = make_system(g=0.0, kappa=2.0, gamma=0.5, to_cavity=0.1)
+        fed = steady_state(build_liouvillian(ham, fed_params))
         assert fed.observables["n_cavity"] > 1e-4
 
     def test_closed_system_rejected(self):

@@ -11,11 +11,9 @@ from cqed_scope.model import (
     TWO_PI,
     DriveSpec,
     DriveTarget,
-    IncoherentChannels,
     SystemParams,
     angular_frequency_to_wavelength,
     angular_to_ghz,
-    detuning_from_wavelengths,
     fwhm_nm_to_ghz,
     ghz_to_angular,
     wavelength_to_angular_frequency,
@@ -71,6 +69,30 @@ class TestWavelengthConversions:
         assert fwhm_nm_to_ghz(fwhm_nm, centre_nm) == pytest.approx(edges_ghz, rel=1e-9)
 
 
+def system_params(**overrides):
+    base = dict(
+        g=TWO_PI * 10.0,
+        kappa=TWO_PI * 20.0,
+        gamma=TWO_PI * 0.5,
+        gamma_d=TWO_PI * 1.5,
+        omega_c=wavelength_to_angular_frequency(930.8),
+        omega_d=wavelength_to_angular_frequency(931.0),
+    )
+    base.update(overrides)
+    return SystemParams(**base)
+
+
+def detuning_from_wavelengths(qd_wavelength_nm, cavity_wavelength_nm):
+    """``SystemParams.detuning`` of a system built from these resonances."""
+    return SystemParams.from_ghz_and_nm(
+        g_ghz=1.0,
+        kappa_ghz=1.0,
+        gamma_ghz=1.0,
+        qd_wavelength_nm=qd_wavelength_nm,
+        cavity_wavelength_nm=cavity_wavelength_nm,
+    ).detuning
+
+
 class TestDetuningFromWavelengths:
     def test_shorter_dot_wavelength_means_positive_detuning(self):
         # The dot sits blue of the cavity, so its frequency is higher.
@@ -96,25 +118,13 @@ class TestDetuningFromWavelengths:
 
 
 class TestSystemParams:
-    def make(self, **overrides):
-        base = dict(
-            g=TWO_PI * 10.0,
-            kappa=TWO_PI * 20.0,
-            gamma=TWO_PI * 0.5,
-            gamma_d=TWO_PI * 1.5,
-            omega_c=wavelength_to_angular_frequency(930.8),
-            omega_d=wavelength_to_angular_frequency(931.0),
-        )
-        base.update(overrides)
-        return SystemParams(**base)
-
     def test_detuning_is_dot_minus_cavity(self):
-        params = self.make()
+        params = system_params()
         assert params.detuning == params.omega_d - params.omega_c
         assert params.detuning < 0.0  # dot is red of the cavity here
 
     def test_zero_coupling_allowed(self):
-        assert self.make(g=0.0).g == 0.0
+        assert system_params(g=0.0).g == 0.0
 
     @pytest.mark.parametrize(
         "field, value",
@@ -130,7 +140,7 @@ class TestSystemParams:
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
-            self.make(**{field: value})
+            system_params(**{field: value})
 
     def test_boundary_unit_constructor(self):
         params = SystemParams.from_ghz_and_nm(
@@ -251,18 +261,30 @@ class TestDriveSpec:
 
 
 class TestIncoherentChannels:
+    """The one-way transfer rates that ``SystemParams`` carries beside its other rates."""
+
     def test_defaults_to_no_transfer(self):
-        channels = IncoherentChannels()
-        assert channels.transfer_qd_to_cavity == 0.0
-        assert channels.transfer_cavity_to_qd == 0.0
+        params = system_params()
+        assert params.transfer_qd_to_cavity == 0.0
+        assert params.transfer_cavity_to_qd == 0.0
+        boundary = SystemParams.from_ghz_and_nm(
+            g_ghz=1.0,
+            kappa_ghz=1.0,
+            gamma_ghz=1.0,
+            qd_wavelength_nm=931.0,
+            cavity_wavelength_nm=930.8,
+            transfer_qd_to_cavity_ghz=3.0,
+        )
+        assert boundary.transfer_qd_to_cavity == ghz_to_angular(3.0)
+        assert boundary.transfer_cavity_to_qd == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [{"transfer_qd_to_cavity": -0.1}, {"transfer_cavity_to_qd": -1.0}],
     )
     def test_negative_rates_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            IncoherentChannels(**kwargs)
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 0"):
+            system_params(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -274,4 +296,4 @@ class TestIncoherentChannels:
     )
     def test_nonfinite_rates_rejected(self, kwargs):
         with pytest.raises(ValueError, match="must be finite"):
-            IncoherentChannels(**kwargs)
+            system_params(**kwargs)

@@ -25,7 +25,6 @@ from cqed_scope.model import (
     TWO_PI,
     DriveSpec,
     DriveTarget,
-    IncoherentChannels,
     SystemParams,
     angular_frequency_to_wavelength,
     wavelength_to_angular_frequency,
@@ -44,7 +43,8 @@ from helpers import coupled_mode_matrix, interpolated_fwhm, steady_state_oracle
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, cavity_nm=931.0):
+def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, cavity_nm=931.0, transfer=False):
+    """A system from rates in GHz; ``transfer`` switches on one-way rates of 0.7 and 0.3 GHz."""
     omega_c = wavelength_to_angular_frequency(cavity_nm)
     return SystemParams(
         g=TWO_PI * g,
@@ -53,6 +53,8 @@ def make_system(g, kappa, gamma, gamma_d=0.0, delta=0.0, cavity_nm=931.0):
         gamma_d=TWO_PI * gamma_d,
         omega_c=omega_c,
         omega_d=omega_c + TWO_PI * delta,
+        transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
+        transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
     )
 
 
@@ -183,9 +185,7 @@ class TestScanLaser:
         )
         grid = auto_scan_window(params, drive, 6.0, 61)
         n_max = 20
-        ham = build_hamiltonian(params, drive, n_max)
-        generator = lindblad.liouvillian_entries(ham, lindblad._collapse_terms(ham, params, None))
-        sectors = lindblad._Sectors(generator)
+        sectors = lindblad._Sectors(lindblad._generator(params, drive, n_max))
         blocks = sum(block.nbytes for block in sectors.blocks.values())
         states = grid.size * lindblad._readout(n_max)[0].nbytes
         tracemalloc.start()
@@ -196,21 +196,52 @@ class TestScanLaser:
             tracemalloc.stop()
         assert peak < states + blocks + 3 * lindblad.STACK_BYTES
 
-    def test_scan_check_reports_the_centre_truncation_change(self, monkeypatch):
-        params = make_system(g=5.0, kappa=2.0, gamma=0.5, delta=-3.0)
-        drive = DriveSpec(target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=1.0)
-        grid = wavelength_window(params.omega_c, 2.0 * params.kappa, 6.0, 21)
+    @settings(max_examples=30)
+    @given(
+        g=st.floats(0.0, 20.0),
+        kappa=st.floats(0.5, 30.0),
+        gamma=st.floats(0.1, 2.0),
+        gamma_d=st.floats(0.0, 3.0),
+        delta=st.floats(-100.0, 100.0),
+        n_max=st.integers(1, 5),
+        target=st.sampled_from(DriveTarget),
+        transfer=st.booleans(),
+        rabi_ghz=st.floats(0.1, 20.0),
+        points=st.integers(5, 21),
+    )
+    # A weak cavity drive that cutoff 3 holds, by a change of a few 1e-9.
+    @example(
+        g=5.0, kappa=2.0, gamma=0.5, gamma_d=0.0, delta=-3.0, n_max=3,
+        target=DriveTarget.CAVITY, transfer=False, rabi_ghz=1.0 / TWO_PI, points=21,
+    )
+    def test_scan_check_reports_the_centre_truncation_change(
+        self, g, kappa, gamma, gamma_d, delta, n_max, target, transfer, rabi_ghz, points
+    ):
+        # The scan probes its own middle read-out with a one-point scan at n_max + 2; the change
+        # must be truncation_check's at the middle frequency, bit for bit.
+        params = make_system(
+            g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta, transfer=transfer
+        )
+        centre = params.omega_d if target is DriveTarget.QD else params.omega_c
+        drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * rabi_ghz)
+        width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
+        grid = wavelength_window(centre, width, 6.0, points)
         reported = []
 
-        def spy(*args, **kwargs):
-            reported.append(lindblad.truncation_change(*args, **kwargs))
+        def spy(lower, upper):
+            reported.append(lindblad.truncation_change(lower, upper))
             return reported[-1]
 
-        monkeypatch.setattr(scan_module, "truncation_change", spy)
-        scan_laser(params, drive, grid, EmissionChannel.CAVITY, 3)
-        centre = drive.with_laser_frequency(wavelength_to_angular_frequency(float(grid[10])))
-        assert reported == [truncation_check(params, centre, 3)]
-        assert 0.0 < reported[0][1] < 1e-8
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scan_module, "truncation_change", spy)
+            try:
+                scan_laser(params, drive, grid, EmissionChannel.CAVITY, n_max)
+            except TruncationError:
+                pass
+        middle = wavelength_to_angular_frequency(float(grid[points // 2]))
+        _, change = truncation_check(params, drive.with_laser_frequency(middle), n_max)
+        assert len(reported) == 1 and reported[0].shape == (1,)
+        assert float(reported[0][0]).hex() == change.hex()
 
     def test_programming_errors_are_not_wrapped(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -313,13 +344,13 @@ class TestScanLaser:
         assert abs(width_wide - width_narrow) / width_narrow < 0.005
 
 
-def per_point_spectrum(params, drive, grid, observe, n_max, channels):
+def per_point_spectrum(params, drive, grid, observe, n_max):
     """Reference: assemble and solve the generator afresh at every grid point."""
     values = []
     for lam in grid:
         point = drive.with_laser_frequency(wavelength_to_angular_frequency(float(lam)))
         ham = build_hamiltonian(params, point, n_max)
-        observables = steady_state(build_liouvillian(ham, params, channels)).observables
+        observables = steady_state(build_liouvillian(ham, params)).observables
         if observe is EmissionChannel.CAVITY:
             values.append(2.0 * params.kappa * observables["n_cavity"])
         else:
@@ -357,10 +388,8 @@ class TestShiftedGenerator:
     ):
         # Cutoffs 1 to 4 solve at least 42 points to a batch, so each grid is one batch (splits
         # are drawn in test_lindblad); the middle point is the reference and matches exactly.
-        params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
-        channels = IncoherentChannels(
-            transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
-            transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
+        params = make_system(
+            g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta, transfer=transfer
         )
         centre = params.omega_d if target is DriveTarget.QD else params.omega_c
         drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * 1.0)
@@ -368,13 +397,13 @@ class TestShiftedGenerator:
         grid = wavelength_window(centre, width, 6.0, points)
 
         data = scan_laser(
-            params, drive, grid, observe, n_max, channels=channels, check_truncation=False
+            params, drive, grid, observe, n_max, check_truncation=False
         )
-        expected = per_point_spectrum(params, drive, grid, observe, n_max, channels)
+        expected = per_point_spectrum(params, drive, grid, observe, n_max)
         # The bound is 1e-14 of the line's peak, which an even grid straddles, so the reference
         # is solved at the window centre too.
         centre_nm = angular_frequency_to_wavelength(centre)
-        at_centre = per_point_spectrum(params, drive, [centre_nm], observe, n_max, channels)
+        at_centre = per_point_spectrum(params, drive, [centre_nm], observe, n_max)
         peak = max(expected.max(), at_centre[0])
         np.testing.assert_allclose(data.y, expected, rtol=0.0, atol=1e-14 * peak)
         assert data.y[points // 2] == expected[points // 2]
@@ -400,17 +429,15 @@ class TestOracle:
     ):
         # Cutoffs 5 and 6 solve 24 and 15 points to a batch, so long grids split.  The
         # oracle is the generator's SVD null vector, assembled afresh at each checked point.
-        params = make_system(g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta)
-        channels = IncoherentChannels(
-            transfer_qd_to_cavity=TWO_PI * 0.7 * transfer,
-            transfer_cavity_to_qd=TWO_PI * 0.3 * transfer,
+        params = make_system(
+            g=g, kappa=kappa, gamma=gamma, gamma_d=gamma_d, delta=delta, transfer=transfer
         )
         centre = params.omega_d if target is DriveTarget.QD else params.omega_c
         drive = DriveSpec(target=target, omega_l=centre, omega_rabi=TWO_PI * rabi_ghz)
         width = 2.0 * (params.kappa + params.gamma + params.gamma_d)
         grid = wavelength_window(centre, width, 6.0, points)
         data = scan_laser(
-            params, drive, grid, observe, n_max, channels=channels, check_truncation=False
+            params, drive, grid, observe, n_max, check_truncation=False
         )
 
         cavity = observe is EmissionChannel.CAVITY
@@ -424,7 +451,7 @@ class TestOracle:
         expected = []
         for lam in grid[checked]:
             point = drive.with_laser_frequency(wavelength_to_angular_frequency(float(lam)))
-            lv = build_liouvillian(build_hamiltonian(params, point, n_max), params, channels)
+            lv = build_liouvillian(build_hamiltonian(params, point, n_max), params)
             rho = steady_state_oracle(lv)
             expected.append(np.trace(dagger(lower) @ lower @ rho).real)
         # Compared as occupations: a dark channel's signal is round-off on either side.
@@ -553,7 +580,7 @@ class TestPowerSweep:
         centre_nm = [angular_frequency_to_wavelength(centre.real)]
         for power, value in zip(powers, result.saturation.y):
             fresh = per_point_spectrum(
-                params, drive.with_power(float(power)), centre_nm, EmissionChannel.CAVITY, 2, None
+                params, drive.with_power(float(power)), centre_nm, EmissionChannel.CAVITY, 2
             )
             assert value == fresh[0]
 
@@ -588,13 +615,11 @@ class TestPowerSweep:
         with pytest.raises(TruncationError):
             power_sweep(params, drive, powers, EmissionChannel.CAVITY, 3)
 
-    def test_zero_power_only_has_no_linewidths(self):
+    def test_zero_power_only_is_rejected(self):
         params = make_system(g=0.0, kappa=2.0, gamma=0.5)
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
-        result = power_sweep(params, drive, np.array([0.0]), EmissionChannel.QD, 1)
-        assert result.linewidths is None
-        assert result.skipped_powers == (0.0,)
-        assert result.saturation.y[0] == 0.0
+        with pytest.raises(ValueError, match="no positive powers"):
+            power_sweep(params, drive, np.array([0.0]), EmissionChannel.QD, 1)
 
 
 class TestSynthesizeNoisy:
