@@ -133,14 +133,7 @@ def cmd_scan(args: argparse.Namespace) -> None:
     template = cfg.drive_template()
     window = auto_scan_window(cfg.system, template, cfg.scan_span_fwhm, cfg.scan_points)
     path = _output_path(cfg, "scan", args.out)
-    data = scan_laser(
-        cfg.system,
-        template,
-        window,
-        observe,
-        cfg.fock_cutoff,
-        residual_tol=cfg.steady_residual_tol,
-    )
+    data = scan_laser(cfg.system, template, window, observe, cfg.fock_cutoff)
     data = _maybe_noisy(cfg, data)
     write_csv(data, path)
     _emit("csv", path)
@@ -168,7 +161,6 @@ def cmd_power_sweep(args: argparse.Namespace) -> None:
         cfg.fock_cutoff,
         scan_points=cfg.scan_points,
         span_fwhm=cfg.scan_span_fwhm,
-        residual_tol=cfg.steady_residual_tol,
     )
     saturation = _maybe_noisy(cfg, result.saturation, seed_offset=0)
     write_csv(saturation, sat_path)

@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .model import DriveSpec, DriveTarget, SystemParams, ghz_to_angular
+from .model import (
+    DriveSpec,
+    DriveTarget,
+    SystemParams,
+    ghz_to_angular,
+    wavelength_to_angular_frequency,
+)
 
 #: Environment variable overriding the configured output directory.
 OUTPUT_ENV_VAR = "CQED_SCOPE_OUT"
@@ -49,7 +55,6 @@ _KEYS: dict[str, dict[str, type]] = {
         "seed": int,
         "noise_relative": float,
         "workers": int,
-        "steady_residual_tol": float,
     },
     "channels": {"transfer_qd_to_cavity_ghz": float, "transfer_cavity_to_qd_ghz": float},
     "output": {"directory": str, "stem": str},
@@ -69,18 +74,38 @@ _REQUIRED = {
     "drive": {"target"},
 }
 
+#: Rates and wavelengths must also stay finite once converted to rad/ns.
+_RATE = (
+    lambda v: v >= 0.0 and math.isfinite(ghz_to_angular(v)),
+    "must be finite and >= 0 in GHz and in rad/ns, got {value} in [{section}]",
+)
+_DECAY = (
+    lambda v: v > 0.0 and math.isfinite(ghz_to_angular(v)),
+    "must be finite and > 0 in GHz and in rad/ns, got {value} in [{section}]",
+)
+_WAVELENGTH = (
+    lambda v: 0.0 < v < math.inf and math.isfinite(wavelength_to_angular_frequency(v)),
+    "must be finite and > 0 in nm and in rad/ns, got {value} in [{section}]",
+)
+
 #: Ranges of single numbers, each excluding NaN and inf; other numbers need only be finite.
+#: A rule may name the value and section as ``{value}`` and ``{section}``.
 _BOUNDS = {
+    "qd_wavelength_nm": _WAVELENGTH,
+    "cavity_wavelength_nm": _WAVELENGTH,
+    "g_ghz": _RATE,
+    "kappa_ghz": _DECAY,
+    "gamma_ghz": _DECAY,
+    "gamma_d_ghz": _RATE,
+    "transfer_qd_to_cavity_ghz": _RATE,
+    "transfer_cavity_to_qd_ghz": _RATE,
     "fock_cutoff": (lambda v: v >= 1, "must be >= 1"),
     "scan_points": (lambda v: v >= 5, "must be >= 5"),
     "scan_span_fwhm": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
     "seed": (lambda v: v >= 0, "must be >= 0"),
     "noise_relative": (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]"),
     "workers": (lambda v: v >= 1, "must be >= 1"),
-    "steady_residual_tol": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
     "i_sat_counts": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
-    "transfer_qd_to_cavity_ghz": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
-    "transfer_cavity_to_qd_ghz": (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
 }
 
 
@@ -112,7 +137,6 @@ class RunConfig:
     scan_span_fwhm: float = 6.0
     seed: int = 7
     noise_relative: float = 0.0
-    steady_residual_tol: float = 1e-9
     output_directory: str = "."
     output_stem: str = "cqed"
     reproduce: ReproduceParams | None = None
@@ -155,7 +179,7 @@ class RunConfig:
         return Path(override) if override else Path(self.output_directory)
 
 
-def _convert(key: str, text: str, kind: type, source: str) -> float | int | str:
+def _convert(section: str, key: str, text: str, kind: type, source: str) -> float | int | str:
     if kind is str:
         return text.strip()
     try:
@@ -165,7 +189,7 @@ def _convert(key: str, text: str, kind: type, source: str) -> float | int | str:
         raise ConfigError(f"{source}: key {key!r} is not {noun}: {text!r}") from exc
     within, rule = _BOUNDS.get(key, (math.isfinite, "must be finite"))
     if not within(value):
-        raise ConfigError(f"{source}: {key} {rule}")
+        raise ConfigError(f"{source}: {key} {rule.format(value=text, section=section)}")
     return value
 
 
@@ -204,16 +228,13 @@ def parse_config(path: str | Path) -> RunConfig:
 
     values = {
         section: {
-            key: _convert(key, text, _KEYS[section][key], source)
+            key: _convert(section, key, text, _KEYS[section][key], source)
             for key, text in parser[section].items()
         }
         for section in parser.sections()
     }
     drive = values["drive"]
-    try:
-        system = SystemParams.from_ghz_and_nm(**values["system"], **values.get("channels", {}))
-    except ValueError as exc:
-        raise ConfigError(f"{source}: invalid [system]: {exc}") from exc
+    system = SystemParams.from_ghz_and_nm(**values["system"], **values.get("channels", {}))
 
     target_text = drive["target"].lower()
     try:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .dataset import SpectrumDataset
 from .errors import ChainingError, IllPosedWindowError, NoSignalError
-from .model import TWO_PI
 
 GRADIENT_RTOL = 1e-8
 MAX_ITERATIONS = 200
@@ -416,15 +415,10 @@ def fit_linear(data: SpectrumDataset) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def excess_broadening(linewidths: SpectrumDataset, intrinsic_fwhm: float) -> SpectrumDataset:
-    """Subtract a power-independent intrinsic width from a linewidth dataset.
-
-    ``intrinsic_fwhm`` is an angular rate in rad/ns; the subtracted
-    per-sample value is ``intrinsic_fwhm / 2pi`` in GHz to match the dataset
-    units.
-    """
-    if not intrinsic_fwhm > 0.0:
+def excess_broadening(linewidths: SpectrumDataset, intrinsic_fwhm_ghz: float) -> SpectrumDataset:
+    """Subtract a power-independent intrinsic width, in GHz like the dataset, from each sample."""
+    if not intrinsic_fwhm_ghz > 0.0:
         raise ValueError("intrinsic width must be > 0")
     if linewidths.y_unit != "fwhm_ghz":
         raise ValueError("excess broadening applies to linewidth datasets only")
-    return replace(linewidths, x=linewidths.x.copy(), y=linewidths.y - intrinsic_fwhm / TWO_PI)
+    return replace(linewidths, x=linewidths.x.copy(), y=linewidths.y - intrinsic_fwhm_ghz)

@@ -322,9 +322,7 @@ class _Sectors:
         return applied
 
 
-def solve_stack(
-    generator: Entries, offsets: np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_stack(generator: Entries, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-trace steady states ``(rhos, residuals)`` of ``generator + d S`` at each offset ``d``.
 
     The generator comes as its non-zeros (:func:`liouvillian_entries`) on the dot x Fock space.
@@ -345,7 +343,8 @@ def solve_stack(
     The guards run over every batch: Hermiticity and unit trace (a degenerate steady manifold,
     also signalled by a singular block, raises
     :class:`~cqed_scope.errors.NonUniqueSteadyStateError`), the residual
-    ``||L rho|| <= residual_tol * max(1, ||L||_F)``, and positivity.  Outside ``m = 0`` a state is
+    ``||L rho|| <= STEADY_RESIDUAL_TOL * max(1, ||L||_F)``, and positivity.  The constant is read
+    at call time, so patching it takes effect.  Outside ``m = 0`` a state is
     Hermitian by construction, so the Hermiticity guard tests and symmetrises only the centre's
     unknowns; the residual applies the whole list, ``-m`` rows included, so it catches a generator
     that does not preserve Hermiticity.  The Frobenius norms follow in closed form from the list,
@@ -365,9 +364,7 @@ def solve_stack(
     for start in range(0, offsets.size, per_batch):
         batch = slice(start, start + per_batch)
         try:
-            rhos[batch], residuals[batch] = _checked(
-                sectors, offsets[batch], norms[batch], residual_tol
-            )
+            rhos[batch], residuals[batch] = _checked(sectors, offsets[batch], norms[batch])
         except NumericalError as exc:
             exc.index += start
             raise
@@ -375,7 +372,7 @@ def solve_stack(
 
 
 def _checked(
-    sectors: _Sectors, steps: np.ndarray, norms: np.ndarray, residual_tol: float
+    sectors: _Sectors, steps: np.ndarray, norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One batch of :func:`solve_stack`: solve, then run every guard over the batch.
 
@@ -397,7 +394,7 @@ def _checked(
     rhos = rhos / np.where(off_trace, 1.0, traces)[:, None, None]
 
     residuals = np.linalg.norm(sectors.apply(steps, rhos.reshape(k, -1)), axis=1)
-    loose = ~(residuals <= residual_tol * np.maximum(1.0, norms))
+    loose = ~(residuals <= STEADY_RESIDUAL_TOL * np.maximum(1.0, norms))
 
     failing = np.flatnonzero(asymmetric | off_trace | loose)
     valid = int(failing[0]) if failing.size else k
@@ -421,15 +418,13 @@ def _checked(
     return rhos, residuals
 
 
-def steady_state(
-    liouvillian: Entries | np.ndarray, residual_tol: float = STEADY_RESIDUAL_TOL
-) -> SteadyState:
+def steady_state(liouvillian: Entries | np.ndarray) -> SteadyState:
     """Unique steady state of one generator, listed or dense: a one-point :func:`solve_stack`.
 
-    A dense generator is listed first.  Errors are those of :func:`solve_stack`; the generator is
-    left untouched.
+    A dense generator is listed first.  Errors are those of :func:`solve_stack`, whose residual
+    guard holds the state to :data:`STEADY_RESIDUAL_TOL`; the generator is left untouched.
     """
-    rhos, residuals = solve_stack(_listed(liouvillian), np.zeros(1), residual_tol)
+    rhos, residuals = solve_stack(_listed(liouvillian), np.zeros(1))
     n_cavity, n_qd, a, sigma = _read(rhos, _readout(rhos.shape[1] // 2 - 1))[0]
     observables = {
         "n_cavity": float(n_cavity.real),
@@ -445,7 +440,6 @@ def laser_scan_steady_states(
     drive: DriveSpec,
     n_max: int,
     laser_omegas: list[float],
-    residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> np.ndarray:
     """Steady-state read-out ``(len(laser_omegas), 4)`` at each laser frequency.
 
@@ -460,21 +454,16 @@ def laser_scan_steady_states(
     omega_ref = laser_omegas[len(laser_omegas) // 2]
     generator = _generator(params, drive.with_laser_frequency(omega_ref), n_max)
     offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
-    rhos, _ = solve_stack(generator, offsets, residual_tol)
+    rhos, _ = solve_stack(generator, offsets)
     return _read(rhos, _readout(n_max))
 
 
-def truncation_check(
-    params: SystemParams,
-    drive: DriveSpec,
-    n_max: int,
-    residual_tol: float = STEADY_RESIDUAL_TOL,
-) -> tuple[bool, float]:
+def truncation_check(params: SystemParams, drive: DriveSpec, n_max: int) -> tuple[bool, float]:
     """Whether cutoff ``n_max`` holds for this drive: ``(change < TRUNCATION_RTOL, change)``.
 
     ``change`` is :func:`truncation_change` of the steady states at ``n_max`` and ``n_max + 2``.
     """
-    states = [steady_state(_generator(params, drive, n), residual_tol) for n in (n_max, n_max + 2)]
+    states = [steady_state(_generator(params, drive, n)) for n in (n_max, n_max + 2)]
     lower, upper = (np.array([[s.observables["n_cavity"], s.observables["n_qd"]]]) for s in states)
     change = float(truncation_change(lower, upper)[0])
     return change < TRUNCATION_RTOL, change

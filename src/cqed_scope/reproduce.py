@@ -124,7 +124,7 @@ def chained_linewidth_fit(
 
 def excess_slope_fit(linewidths: SpectrumDataset, intrinsic_fwhm_ghz: float) -> FitResult:
     """Subtract the intrinsic width and fit a straight line to the excess."""
-    return fit_linear(excess_broadening(linewidths, TWO_PI * intrinsic_fwhm_ghz))
+    return fit_linear(excess_broadening(linewidths, intrinsic_fwhm_ghz))
 
 
 def chained_fit_power_grid(alpha_per_uw: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from .analytic import LinewidthModelParams, combined_linewidth, polariton_freque
 from .dataset import ScanKind, SpectrumDataset
 from .errors import ConfigError, NumericalError, ScanError, TruncationError
 from .lindblad import (
-    STEADY_RESIDUAL_TOL,
     TRUNCATION_RTOL,
     laser_scan_steady_states,
     steady_state,  # noqa: F401  bench/test_bench.py checks that its tracer patches this name
@@ -54,9 +53,12 @@ def scan_laser(
     observe: EmissionChannel,
     n_max: int,
     check_truncation: bool = True,
-    residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> SpectrumDataset:
     """Steady emission while stepping the laser across a wavelength grid.
+
+    Every solve, the cutoff probe included, is held to the solver's fixed residual guard,
+    :data:`~cqed_scope.lindblad.STEADY_RESIDUAL_TOL`; a grid point that misses it raises
+    :class:`~cqed_scope.errors.ScanError` naming its wavelength.
 
     Parameters
     ----------
@@ -72,8 +74,6 @@ def scan_laser(
         Fock cutoff; unless ``check_truncation`` is disabled, the middle point's
         read-out is compared after the scan with the same call at ``n_max + 2``
         over that one point (:func:`~cqed_scope.lindblad.truncation_change`).
-    residual_tol
-        Steady-state residual tolerance for every solve, the check included.
     """
     grid = np.asarray(wavelengths_nm, dtype=float)
     if grid.ndim != 1 or grid.size < 5:
@@ -92,7 +92,7 @@ def scan_laser(
     rate, column = (params.gamma, 1) if observe is EmissionChannel.QD else (params.kappa, 0)
     omegas = [wavelength_to_angular_frequency(float(lam)) for lam in grid]
     try:
-        readings = laser_scan_steady_states(params, drive_template, n_max, omegas, residual_tol)
+        readings = laser_scan_steady_states(params, drive_template, n_max, omegas)
     except NumericalError as exc:
         lam = grid[exc.index]
         raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
@@ -103,9 +103,7 @@ def scan_laser(
         raise ScanError(f"negative emission signal {signal[j]:.3e} at {grid[j]:.6f} nm")
     if check_truncation:
         middle = slice(grid.size // 2, grid.size // 2 + 1)
-        probe = laser_scan_steady_states(
-            params, drive_template, n_max + 2, omegas[middle], residual_tol
-        )
+        probe = laser_scan_steady_states(params, drive_template, n_max + 2, omegas[middle])
         change = float(truncation_change(readings[middle], probe)[0])
         if not change < TRUNCATION_RTOL:
             raise TruncationError(f"cutoff {n_max} not converged (change {change:.2e}); increase it")
@@ -174,7 +172,6 @@ def power_sweep(
     n_max: int,
     scan_points: int = 201,
     span_fwhm: float = 6.0,
-    residual_tol: float = STEADY_RESIDUAL_TOL,
 ) -> PowerSweepResult:
     """Emulate a power series: one laser scan per drive power.
 
@@ -184,7 +181,8 @@ def power_sweep(
     its signal goes into the saturation dataset and a Lorentzian fit of the scan
     yields the linewidth dataset (GHz).  Powers run from the highest down, and
     only that first scan checks the Fock cutoff, where it is most likely to fall
-    short.
+    short.  Every scan is held to the solver's fixed residual guard
+    (:data:`~cqed_scope.lindblad.STEADY_RESIDUAL_TOL`).
     """
     if drive_template.alpha is None:
         raise ValueError("power sweeps need a power-style drive template (alpha set)")
@@ -208,8 +206,7 @@ def power_sweep(
         drive = drive_template.with_power(float(power))
         grid = auto_scan_window(params, drive, span_fwhm, scan_points)
         dataset = scan_laser(
-            params, drive, grid, observe, n_max,
-            check_truncation=power == powers[-1], residual_tol=residual_tol,
+            params, drive, grid, observe, n_max, check_truncation=power == powers[-1]
         )
         try:
             lor = _fit.fit_lorentzian(dataset)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqed_scope import lindblad
 from cqed_scope.analytic import LinewidthModelParams
 from cqed_scope.cli import main
 from cqed_scope.config import OUTPUT_ENV_VAR, parse_config
@@ -150,14 +151,22 @@ class TestExitCodes:
         assert rc == 2
         assert "0 <= min < max" in captured.err
 
-    def test_unreachable_residual_tolerance_exits_3(self, tmp_path, capsys):
-        text = DETUNED_BASE + "\n[numerics]\nfock_cutoff = 1\nsteady_residual_tol = 1e-30\n"
+    def test_unreachable_residual_tolerance_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_TOL", 1e-30)
+        text = DETUNED_BASE + "\n[numerics]\nfock_cutoff = 1\n"
         rc, _, captured = run_cli(
             capsys,
             ["scan", "--config", str(write_ini(tmp_path, text)), "--out", str(tmp_path / "s.csv")],
         )
         assert rc == 3
         assert "residual" in captured.err
+
+    def test_residual_tolerance_is_not_a_config_key(self, tmp_path, capsys):
+        # The residual guard belongs to the solver; a config may not loosen it.
+        text = DETUNED_BASE + "\n[numerics]\nsteady_residual_tol = 1e-8\n"
+        rc, _, captured = run_cli(capsys, ["scan", "--config", str(write_ini(tmp_path, text))])
+        assert rc == 2
+        assert "unknown key(s) in [numerics]: steady_residual_tol" in captured.err
 
     @pytest.mark.parametrize(
         "command, key, edits",

@@ -65,7 +65,6 @@ class TestExampleFile:
         assert cfg.scan_span_fwhm == 6.0
         assert cfg.seed == 7
         assert cfg.noise_relative == 0.0
-        assert cfg.steady_residual_tol == 1e-9
         assert cfg.output_directory == "out"
         assert cfg.output_stem == "example"
         assert cfg.reproduce is None
@@ -130,7 +129,6 @@ class TestDefaults:
         assert cfg.scan_span_fwhm == 6.0
         assert cfg.seed == 7
         assert cfg.noise_relative == 0.0
-        assert cfg.steady_residual_tol == 1e-9
         assert cfg.output_directory == "."
         assert cfg.output_stem == "cqed"
         assert cfg.system.transfer_qd_to_cavity == 0.0
@@ -256,10 +254,6 @@ class TestRejections:
             ("scan_points", "4", "scan_points must be >= 5"),
             ("noise_relative", "0.6", r"noise_relative must lie in \[0, 0.5\]"),
             ("workers", "0", "workers must be >= 1"),
-            ("steady_residual_tol", "0", "steady_residual_tol must be finite and > 0"),
-            ("steady_residual_tol", "-1e-9", "steady_residual_tol must be finite and > 0"),
-            ("steady_residual_tol", "nan", "steady_residual_tol must be finite and > 0"),
-            ("steady_residual_tol", "inf", "steady_residual_tol must be finite and > 0"),
             ("seed", "-1", "seed must be >= 0"),
             ("scan_span_fwhm", "-6", "scan_span_fwhm must be finite and > 0"),
             ("scan_span_fwhm", "0", "scan_span_fwhm must be finite and > 0"),
@@ -310,13 +304,46 @@ class TestRejections:
 
     def test_invalid_system_values_wrapped(self, tmp_path):
         text = BASE.replace("g_ghz = 10.0", "g_ghz = -1.0")
-        with pytest.raises(ConfigError, match=r"invalid \[system\]"):
+        with pytest.raises(ConfigError, match=r"g_ghz must be .* got -1\.0 in \[system\]"):
             parse_config(write_config(tmp_path, text))
 
     def test_invalid_channel_rate_wrapped(self, tmp_path):
         text = BASE + "\n[channels]\ntransfer_qd_to_cavity_ghz = -2.0\n"
         with pytest.raises(ConfigError, match="transfer_qd_to_cavity_ghz must be finite and >= 0"):
             parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "section, key, value, rule",
+        [
+            ("system", "g_ghz", "1e308", ">= 0 in GHz"),
+            ("system", "g_ghz", "-1", ">= 0 in GHz"),
+            ("system", "kappa_ghz", "-1", "> 0 in GHz"),
+            ("system", "kappa_ghz", "0", "> 0 in GHz"),
+            ("system", "kappa_ghz", "1e308", "> 0 in GHz"),
+            ("system", "gamma_ghz", "0", "> 0 in GHz"),
+            ("system", "gamma_ghz", "inf", "> 0 in GHz"),
+            ("system", "gamma_d_ghz", "-0.5", ">= 0 in GHz"),
+            ("system", "gamma_d_ghz", "1e308", ">= 0 in GHz"),
+            ("channels", "transfer_qd_to_cavity_ghz", "1e308", ">= 0 in GHz"),
+            ("channels", "transfer_cavity_to_qd_ghz", "nan", ">= 0 in GHz"),
+            ("system", "qd_wavelength_nm", "0", "> 0 in nm"),
+            ("system", "qd_wavelength_nm", "inf", "> 0 in nm"),
+            ("system", "cavity_wavelength_nm", "-930.8", "> 0 in nm"),
+            ("system", "cavity_wavelength_nm", "1e-310", "> 0 in nm"),
+        ],
+    )
+    def test_physical_values_named_in_file_units(self, tmp_path, section, key, value, rule):
+        # A rate or wavelength must be usable in the file and once converted to rad/ns, and the
+        # message gives the file's key, value and section, not the converted internal field.
+        lines = [line for line in BASE.splitlines() if not line.startswith(f"{key} ")]
+        if section == "system":
+            lines.insert(1, f"{key} = {value}")
+        else:
+            lines += [f"[{section}]", f"{key} = {value}"]
+        with pytest.raises(ConfigError) as caught:
+            parse_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+        message = f"{key} must be finite and {rule} and in rad/ns, got {value} in [{section}]"
+        assert message in str(caught.value)
 
     def test_power_style_template_without_power_wrapped(self, tmp_path):
         text = BASE.replace("rabi_ghz = 1.0", "alpha_per_uw = 0.5")
@@ -402,7 +429,6 @@ KEY_CASES = {
     "seed": ({}, {"numerics": {"seed": "3"}}),
     "noise_relative": ({}, {"numerics": {"noise_relative": "0.1"}}),
     "workers": ({}, {"numerics": {"workers": "2"}}),
-    "steady_residual_tol": ({}, {"numerics": {"steady_residual_tol": "1e-8"}}),
     "transfer_qd_to_cavity_ghz": ({}, {"channels": {"transfer_qd_to_cavity_ghz": "0.3"}}),
     "transfer_cavity_to_qd_ghz": ({}, {"channels": {"transfer_cavity_to_qd_ghz": "0.3"}}),
     "directory": ({}, {"output": {"directory": "elsewhere"}}),

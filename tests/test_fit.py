@@ -18,7 +18,6 @@ from cqed_scope.fit import (
     fit_power_broadening,
     fit_saturation,
 )
-from cqed_scope.model import TWO_PI
 from cqed_scope.scan import synthesize_noisy
 
 from helpers import central_gradient, lorentzian
@@ -526,30 +525,36 @@ class TestFitLinear:
 
 
 class TestExcessBroadening:
+    def test_subtracts_the_ghz_width_bit_for_bit(self):
+        # 12.3 is one of the widths for which (2 pi * w) / 2 pi != w, so no round trip may run.
+        x = np.linspace(0.5, 25.0, 10)
+        data = linewidth_dataset(x, 40.0 + 0.5 * x)
+        assert np.array_equal(excess_broadening(data, 12.3).y, data.y - 12.3)
+
     def test_subtracting_the_constant_zeroes_constant_data(self):
         x = np.linspace(0.5, 25.0, 10)
         data = linewidth_dataset(x, np.full(10, 35.6))
-        excess = excess_broadening(data, TWO_PI * 35.6)
+        excess = excess_broadening(data, 35.6)
         np.testing.assert_allclose(excess.y, 0.0, atol=1e-12)
 
     def test_shift_never_rescales(self):
         x = np.linspace(0.5, 25.0, 10)
         data = linewidth_dataset(x, 50.3 + 0.8 * x)
-        excess = excess_broadening(data, TWO_PI * 50.3)
+        excess = excess_broadening(data, 50.3)
         shifts = excess.y - data.y
         np.testing.assert_allclose(shifts, -50.3, rtol=1e-12)
 
     def test_shift_is_reversible(self):
         x = np.linspace(0.5, 25.0, 10)
         data = linewidth_dataset(x, 40.0 + 0.5 * x)
-        excess = excess_broadening(data, TWO_PI * 7.0)
+        excess = excess_broadening(data, 7.0)
         np.testing.assert_allclose(excess.y + 7.0, data.y, rtol=1e-12)
 
     def test_requires_linewidth_data(self):
         x = np.linspace(0.5, 25.0, 10)
         data = saturation_dataset(x, np.full(10, 3.0))
         with pytest.raises(ValueError):
-            excess_broadening(data, TWO_PI * 1.0)
+            excess_broadening(data, 1.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_requires_positive_intrinsic_width(self, bad):

@@ -315,9 +315,11 @@ class TestSolveStack:
             ratios = residuals / np.array(scales)
             j = int(np.argmax(ratios))
             assume(ratios[j] > 0.0)
-            solve_stack(listed, offsets, residual_tol=ratios[j] * (1.0 + 1e-9))
+            patch.setattr(lindblad, "STEADY_RESIDUAL_TOL", ratios[j] * (1.0 + 1e-9))
+            solve_stack(listed, offsets)
+            patch.setattr(lindblad, "STEADY_RESIDUAL_TOL", ratios[j] * (1.0 - 1e-9))
             with pytest.raises(NumericalError, match="residual") as caught:
-                solve_stack(listed, offsets, residual_tol=ratios[j] * (1.0 - 1e-9))
+                solve_stack(listed, offsets)
             assert caught.value.index == j
 
     def test_slices_match_single_solves(self, monkeypatch):

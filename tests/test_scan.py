@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cqed_scope import lindblad
 from cqed_scope import scan as scan_module
 from cqed_scope.analytic import polariton_frequencies
+from cqed_scope.cli import main
 from cqed_scope.config import parse_config
 from cqed_scope.dataset import ScanKind, SpectrumDataset
 from cqed_scope.errors import (
@@ -620,6 +621,27 @@ class TestPowerSweep:
         drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
         with pytest.raises(ValueError, match="no positive powers"):
             power_sweep(params, drive, np.array([0.0]), EmissionChannel.QD, 1)
+
+
+def test_every_solve_reads_the_residual_tolerance_at_call_time(tmp_path, monkeypatch, capsys):
+    # No path binds the solver's constant early: patched to an unreachable 1e-30 after import,
+    # each entry point trips the residual guard.  Cutoff 2 converges for this weakly coupled
+    # dot, so each call passes at the real tolerance.
+    monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_TOL", 1e-30)
+    params = make_system(g=1.0, kappa=20.0, gamma=0.5, gamma_d=0.5, delta=1.0)
+    drive = DriveSpec(target=DriveTarget.QD, omega_l=params.omega_d, power=1.0, alpha=0.5)
+    grid = wavelength_window(params.omega_d, 2.0 * params.gamma, 6.0, 11)
+    with pytest.raises(ScanError, match="residual"):
+        scan_laser(params, drive, grid, EmissionChannel.QD, 2)
+    with pytest.raises(ScanError, match="residual"):
+        power_sweep(params, drive, np.geomspace(0.1, 4.0, 5), EmissionChannel.QD, 2)
+    with pytest.raises(NumericalError, match="residual"):
+        steady_state(build_liouvillian(build_hamiltonian(params, drive, 2), params))
+    with pytest.raises(NumericalError, match="residual"):
+        truncation_check(params, drive, 2)
+    out = str(tmp_path / "scan.csv")
+    assert main(["scan", "--config", str(CONFIG_DIR / "example.ini"), "--out", out]) == 3
+    assert "residual" in capsys.readouterr().err
 
 
 class TestSynthesizeNoisy:
