@@ -31,12 +31,7 @@ from .fit import (
     fit_power_broadening,
     fit_saturation,
 )
-from .model import (
-    TWO_PI,
-    DriveTarget,
-    angular_to_ghz,
-    fwhm_nm_to_ghz,
-)
+from .model import DriveTarget, angular_to_ghz, fwhm_nm_to_ghz
 from .reproduce import (
     chained_fit_power_grid,
     chained_linewidth_fit,
@@ -87,11 +82,11 @@ def cmd_analytic(args: argparse.Namespace) -> None:
     _emit("detuning_ghz", angular_to_ghz(system.detuning))
 
     pair = polariton_frequencies(system)
-    _emit("branch_upper_freq_ghz", pair.omega_plus.real / TWO_PI)
-    _emit("branch_upper_fwhm_ghz", -2.0 * pair.omega_plus.imag / TWO_PI)
-    _emit("branch_lower_freq_ghz", pair.omega_minus.real / TWO_PI)
-    _emit("branch_lower_fwhm_ghz", -2.0 * pair.omega_minus.imag / TWO_PI)
-    _emit("splitting_ghz", (pair.omega_plus.real - pair.omega_minus.real) / TWO_PI)
+    _emit("branch_upper_freq_ghz", angular_to_ghz(pair.omega_plus.real))
+    _emit("branch_upper_fwhm_ghz", angular_to_ghz(-2.0 * pair.omega_plus.imag))
+    _emit("branch_lower_freq_ghz", angular_to_ghz(pair.omega_minus.real))
+    _emit("branch_lower_fwhm_ghz", angular_to_ghz(-2.0 * pair.omega_minus.imag))
+    _emit("splitting_ghz", angular_to_ghz(pair.omega_plus.real - pair.omega_minus.real))
 
     if system.detuning != 0.0:
         dot_width = combined_linewidth(LinewidthModelParams.from_system(system, 1.0), 0.0)
@@ -187,11 +182,13 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
     missing = [str(p) for p in paths.values() if not p.is_file()]
     if missing:
         raise ConfigError(f"missing config file(s): {', '.join(missing)}")
-    for name, path in paths.items():
-        cfg = parse_config(path)
+    # Every config is checked before any row runs, so a bad one leaves no partial output.
+    configs = {name: parse_config(path) for name, path in paths.items()}
+    for cfg in configs.values():
+        if cfg.reproduce is None:
+            raise ConfigError(f"{cfg.source}: missing [reproduce] section")
+    for name, cfg in configs.items():
         rep = cfg.reproduce
-        if rep is None:
-            raise ConfigError(f"{path}: missing [reproduce] section")
         label = rep.label or name
         if table == "table1":
             _reproduce_linewidth_row(cfg, rep, label)
@@ -205,17 +202,13 @@ def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
     if cfg.alpha_per_uw is None:
         raise ConfigError(f"{cfg.source}: [reproduce] runs need drive alpha_per_uw")
     alpha = cfg.alpha_per_uw
-    model = LinewidthModelParams(
-        delta_omega_c=TWO_PI * rep.delta_omega_c_ghz,
-        delta_omega_0=TWO_PI * rep.delta_omega_0_ghz,
-        alpha=alpha,
-    )
     saturation = _maybe_noisy(
         cfg, saturation_curve(saturation_power_grid(alpha), rep.i_sat_counts, alpha)
     )
-    linewidths = _maybe_noisy(
-        cfg, linewidth_curve(chained_fit_power_grid(alpha), model), seed_offset=1
+    curve = linewidth_curve(
+        chained_fit_power_grid(alpha), rep.delta_omega_c_ghz, rep.delta_omega_0_ghz, alpha
     )
+    linewidths = _maybe_noisy(cfg, curve, seed_offset=1)
     directory = cfg.resolve_output_dir()
     directory.mkdir(parents=True, exist_ok=True)
     write_csv(saturation, directory / f"table1_{label}_saturation.csv")

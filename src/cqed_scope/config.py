@@ -1,7 +1,7 @@
 """Strict INI run configuration.
 
-Each key is declared once, with its type, in ``_KEYS``.  Anything unknown
-is rejected by name so a typo cannot fall back to a default, and every
+Each key is declared once, with its type and its range, in ``_KEYS``.  Anything
+unknown is rejected by name so a typo cannot fall back to a default, and every
 number must be finite.  File frequencies are ordinary GHz, wavelengths nm,
 powers uW; conversion to angular units happens here and nowhere else.
 """
@@ -28,52 +28,6 @@ from .model import (
 #: Environment variable overriding the configured output directory.
 OUTPUT_ENV_VAR = "CQED_SCOPE_OUT"
 
-#: Every accepted key, by section, with the type its value converts to.
-_KEYS: dict[str, dict[str, type]] = {
-    "system": {
-        "qd_wavelength_nm": float,
-        "cavity_wavelength_nm": float,
-        "g_ghz": float,
-        "kappa_ghz": float,
-        "gamma_ghz": float,
-        "gamma_d_ghz": float,
-    },
-    "drive": {
-        "target": str,
-        "rabi_ghz": float,
-        "power_uw": float,
-        "alpha_per_uw": float,
-        "power_min_uw": float,
-        "power_max_uw": float,
-        "power_points": int,
-        "power_scale": str,
-    },
-    "numerics": {
-        "fock_cutoff": int,
-        "scan_points": int,
-        "scan_span_fwhm": float,
-        "seed": int,
-        "noise_relative": float,
-        "workers": int,
-    },
-    "channels": {"transfer_qd_to_cavity_ghz": float, "transfer_cavity_to_qd_ghz": float},
-    "output": {"directory": str, "stem": str},
-    "reproduce": {
-        "label": str,
-        "delta_omega_c_ghz": float,
-        "delta_omega_0_ghz": float,
-        "reference_theory_ghz": float,
-        "i_sat_counts": float,
-        "intrinsic_fwhm_ghz": float,
-        "excess_slope_ghz_per_uw": float,
-    },
-}
-
-_REQUIRED = {
-    "system": {"qd_wavelength_nm", "cavity_wavelength_nm", "g_ghz", "kappa_ghz", "gamma_ghz"},
-    "drive": {"target"},
-}
-
 #: Rates and wavelengths must also stay finite once converted to rad/ns.
 _RATE = (
     lambda v: v >= 0.0 and math.isfinite(ghz_to_angular(v)),
@@ -87,25 +41,59 @@ _WAVELENGTH = (
     lambda v: 0.0 < v < math.inf and math.isfinite(wavelength_to_angular_frequency(v)),
     "must be finite and > 0 in nm and in rad/ns, got {value} in [{section}]",
 )
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and > 0")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+_FINITE = (math.isfinite, "must be finite")
 
-#: Ranges of single numbers, each excluding NaN and inf; other numbers need only be finite.
-#: A rule may name the value and section as ``{value}`` and ``{section}``.
-_BOUNDS = {
-    "qd_wavelength_nm": _WAVELENGTH,
-    "cavity_wavelength_nm": _WAVELENGTH,
-    "g_ghz": _RATE,
-    "kappa_ghz": _DECAY,
-    "gamma_ghz": _DECAY,
-    "gamma_d_ghz": _RATE,
-    "transfer_qd_to_cavity_ghz": _RATE,
-    "transfer_cavity_to_qd_ghz": _RATE,
-    "fock_cutoff": (lambda v: v >= 1, "must be >= 1"),
-    "scan_points": (lambda v: v >= 5, "must be >= 5"),
-    "scan_span_fwhm": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
-    "seed": (lambda v: v >= 0, "must be >= 0"),
-    "noise_relative": (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]"),
-    "workers": (lambda v: v >= 1, "must be >= 1"),
-    "i_sat_counts": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+#: Every accepted key, by section: the type its value converts to and, for a number, the
+#: range it must lie in, each excluding NaN and inf.  A range may name the value and section
+#: as ``{value}`` and ``{section}``.
+_KEYS: dict[str, dict[str, tuple[type, tuple | None]]] = {
+    "system": {
+        "qd_wavelength_nm": (float, _WAVELENGTH),
+        "cavity_wavelength_nm": (float, _WAVELENGTH),
+        "g_ghz": (float, _RATE),
+        "kappa_ghz": (float, _DECAY),
+        "gamma_ghz": (float, _DECAY),
+        "gamma_d_ghz": (float, _RATE),
+    },
+    "drive": {
+        "target": (str, None),
+        "rabi_ghz": (float, _RATE),
+        "power_uw": (float, _NONNEGATIVE),
+        "alpha_per_uw": (float, _POSITIVE),
+        "power_min_uw": (float, _FINITE),
+        "power_max_uw": (float, _FINITE),
+        "power_points": (int, _FINITE),
+        "power_scale": (str, None),
+    },
+    "numerics": {
+        "fock_cutoff": (int, (lambda v: v >= 1, "must be >= 1")),
+        "scan_points": (int, (lambda v: v >= 5, "must be >= 5")),
+        "scan_span_fwhm": (float, _POSITIVE),
+        "seed": (int, (lambda v: v >= 0, "must be >= 0")),
+        "noise_relative": (float, (lambda v: 0.0 <= v <= 0.5, "must lie in [0, 0.5]")),
+        "workers": (int, (lambda v: v >= 1, "must be >= 1")),
+    },
+    "channels": {
+        "transfer_qd_to_cavity_ghz": (float, _RATE),
+        "transfer_cavity_to_qd_ghz": (float, _RATE),
+    },
+    "output": {"directory": (str, None), "stem": (str, None)},
+    "reproduce": {
+        "label": (str, None),
+        "delta_omega_c_ghz": (float, _NONNEGATIVE),
+        "delta_omega_0_ghz": (float, _NONNEGATIVE),
+        "reference_theory_ghz": (float, _FINITE),
+        "i_sat_counts": (float, _POSITIVE),
+        "intrinsic_fwhm_ghz": (float, _POSITIVE),
+        "excess_slope_ghz_per_uw": (float, _NONNEGATIVE),
+    },
+}
+
+_REQUIRED = {
+    "system": {"qd_wavelength_nm", "cavity_wavelength_nm", "g_ghz", "kappa_ghz", "gamma_ghz"},
+    "drive": {"target"},
 }
 
 
@@ -179,7 +167,8 @@ class RunConfig:
         return Path(override) if override else Path(self.output_directory)
 
 
-def _convert(section: str, key: str, text: str, kind: type, source: str) -> float | int | str:
+def _convert(section: str, key: str, text: str, source: str) -> float | int | str:
+    kind, bounds = _KEYS[section][key]
     if kind is str:
         return text.strip()
     try:
@@ -187,7 +176,7 @@ def _convert(section: str, key: str, text: str, kind: type, source: str) -> floa
     except ValueError as exc:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{source}: key {key!r} is not {noun}: {text!r}") from exc
-    within, rule = _BOUNDS.get(key, (math.isfinite, "must be finite"))
+    within, rule = bounds
     if not within(value):
         raise ConfigError(f"{source}: {key} {rule.format(value=text, section=section)}")
     return value
@@ -228,7 +217,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
     values = {
         section: {
-            key: _convert(section, key, text, _KEYS[section][key], source)
+            key: _convert(section, key, text, source)
             for key, text in parser[section].items()
         }
         for section in parser.sections()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import LinewidthModelParams, combined_linewidth
 from .dataset import ScanKind, SpectrumDataset
 from .fit import (
     FitResult,
@@ -26,7 +25,6 @@ from .fit import (
     fit_power_broadening,
     fit_saturation,
 )
-from .model import TWO_PI
 
 #: Chained-fit grid: points across the saturation knee, points on the lever arm, its largest ``aP``.
 KNEE_POINTS = 60
@@ -54,14 +52,25 @@ def saturation_curve(
     )
 
 
-def linewidth_curve(powers_uw: np.ndarray, model: LinewidthModelParams) -> SpectrumDataset:
-    """Noiseless linewidth-vs-power samples of the combined broadening model, in GHz."""
+def linewidth_curve(
+    powers_uw: np.ndarray, delta_omega_c_ghz: float, delta_omega_0_ghz: float, alpha_per_uw: float
+) -> SpectrumDataset:
+    """Noiseless linewidth-vs-power samples of ``delta_omega_c + delta_omega_0 * sqrt(1 + aP)``.
+
+    The additive model of :func:`analytic.combined_linewidth`, evaluated in GHz so that
+    no conversion to rad/ns and back rounds a width.
+    """
     powers = np.asarray(powers_uw, dtype=float)
-    widths_ghz = np.array([combined_linewidth(model, p) for p in powers]) / TWO_PI
+    if not (delta_omega_c_ghz >= 0.0 and delta_omega_0_ghz >= 0.0):
+        raise ValueError("linewidth contributions must be >= 0")
+    if not alpha_per_uw > 0.0:
+        raise ValueError("alpha must be > 0")
+    if not np.all(powers >= 0.0):
+        raise ValueError("power must be >= 0")
     return SpectrumDataset(
         kind=ScanKind.POWER_SWEEP,
         x=powers,
-        y=widths_ghz,
+        y=delta_omega_c_ghz + delta_omega_0_ghz * np.sqrt(1.0 + alpha_per_uw * powers),
         x_unit="uW",
         y_unit="fwhm_ghz",
     )
@@ -140,6 +149,7 @@ def chained_fit_power_grid(alpha_per_uw: float) -> np.ndarray:
     knee = np.geomspace(0.01 / alpha_per_uw, 5.0 / alpha_per_uw, KNEE_POINTS)
     root = np.linspace(np.sqrt(6.0), np.sqrt(1.0 + P_TILDE_MAX), LEVER_POINTS)
     lever = (root**2 - 1.0) / alpha_per_uw
+    # Sort and drop repeats by hand: np.unique imports numpy.ma (about 1.6 MiB) on its first call.
     grid = np.sort(np.concatenate([knee, lever]))
     return grid[np.append(True, grid[1:] != grid[:-1])]
 

@@ -31,8 +31,8 @@ from .model import (
     DriveTarget,
     SPEED_OF_LIGHT_NM_GHZ,
     SystemParams,
-    TWO_PI,
     angular_frequency_to_wavelength,
+    angular_to_ghz,
     fwhm_nm_to_ghz,
     wavelength_to_angular_frequency,
 )
@@ -124,7 +124,7 @@ def wavelength_window(
     if not np.isfinite(fwhm_omega) or fwhm_omega <= 0.0:
         raise ConfigError(f"cannot size a scan window from predicted width {fwhm_omega!r}")
     centre_nm = angular_frequency_to_wavelength(centre_omega)
-    fwhm_nm = centre_nm**2 * (fwhm_omega / TWO_PI) / SPEED_OF_LIGHT_NM_GHZ
+    fwhm_nm = centre_nm**2 * angular_to_ghz(fwhm_omega) / SPEED_OF_LIGHT_NM_GHZ
     half = 0.5 * span_fwhm * fwhm_nm
     return np.linspace(centre_nm - half, centre_nm + half, points)
 

@@ -210,11 +210,11 @@ def test_06_noisy_linewidth_table_recovery(capsys):
     width_grid = chained_fit_power_grid(alpha)
     counts = {}
     for label, d_c, d_0 in (("S1", 12.6, 1.96), ("S2", 9.9, 9.8), ("S3", 15.0, 5.8)):
-        model = LinewidthModelParams(TWO_PI * d_c, TWO_PI * d_0, alpha)
         hits = 0
         for trial in range(100):
             sat = synthesize_noisy(saturation_curve(sat_grid, 1000.0, alpha), noise, trial)
-            widths = synthesize_noisy(linewidth_curve(width_grid, model), noise, trial + 1000)
+            widths = linewidth_curve(width_grid, d_c, d_0, alpha)
+            widths = synthesize_noisy(widths, noise, trial + 1000)
             chained = chained_linewidth_fit(sat, widths)
             if not chained.alpha_reliable:
                 continue

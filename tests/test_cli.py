@@ -1,6 +1,7 @@
 """Command-line behaviour: reports, exit codes, artifacts, determinism."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,11 +11,10 @@ import numpy as np
 import pytest
 
 from cqed_scope import lindblad
-from cqed_scope.analytic import LinewidthModelParams
 from cqed_scope.cli import main
 from cqed_scope.config import OUTPUT_ENV_VAR, parse_config
 from cqed_scope.dataset import ScanKind, SpectrumDataset, read_csv, write_csv
-from cqed_scope.model import TWO_PI, SystemParams
+from cqed_scope.model import SystemParams
 from cqed_scope.reproduce import (
     chained_fit_power_grid,
     excess_curve,
@@ -197,6 +197,64 @@ class TestExitCodes:
         assert rc == 2
         assert f"{path}: {key} must be finite" in captured.err
         assert report == {}
+
+    @pytest.mark.parametrize(
+        "command, key, edits",
+        [
+            (
+                "analytic",
+                "rabi_ghz",
+                [("alpha_per_uw = 0.5", "rabi_ghz = -1"), ("power_uw = 0.2\n", "")],
+            ),
+            ("analytic", "alpha_per_uw", [("alpha_per_uw = 0.5", "alpha_per_uw = -1")]),
+            ("analytic", "power_uw", [("power_uw = 0.2", "power_uw = -1")]),
+            ("power-sweep", "power_uw", [("power_uw = 0.2", "power_uw = -1")]),
+        ],
+        ids=["analytic-rabi_ghz", "analytic-alpha_per_uw", "analytic-power_uw", "sweep-power_uw"],
+    )
+    def test_out_of_range_drive_value_exits_2_before_any_output(
+        self, tmp_path, capsys, monkeypatch, command, key, edits
+    ):
+        text = (CONFIG_DIR / "example.ini").read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path = write_ini(tmp_path, text)
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
+        rc, _, captured = run_cli(capsys, [command, "--config", str(path)])
+        assert rc == 2
+        assert f"{path}: {key} must be finite and" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "table, name, key, value",
+        [
+            ("table1", "S3", "delta_omega_0_ghz", "-1"),
+            ("table1", "S3", "delta_omega_c_ghz", "-1"),
+            ("table2", "S4", "intrinsic_fwhm_ghz", "-1"),
+            ("table2", "S4", "excess_slope_ghz_per_uw", "-0.5"),
+        ],
+    )
+    def test_reproduce_checks_every_config_before_writing(
+        self, tmp_path, capsys, monkeypatch, table, name, key, value
+    ):
+        # The bad value sits in the table's last config, so every earlier row would have
+        # printed and written its CSVs had the configs not all been parsed first.
+        config_dir = tmp_path / table
+        shutil.copytree(CONFIG_DIR / table, config_dir)
+        bad = config_dir / f"{name}.ini"
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", bad.read_text(), flags=re.M)
+        assert count == 1
+        bad.write_text(text)
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
+        rc, _, captured = run_cli(
+            capsys, ["reproduce", "--table", table, "--config-dir", str(config_dir)]
+        )
+        assert rc == 2
+        assert f"{bad}: {key} must be finite and" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_reproduce_missing_configs_enumerated(self, tmp_path, capsys):
         rc, _, captured = run_cli(
@@ -676,13 +734,11 @@ class TestReproduceCommand:
                 assert noise > 0.0
                 if table == "table1":
                     alpha = cfg.alpha_per_uw
-                    model = LinewidthModelParams(
-                        TWO_PI * rep.delta_omega_c_ghz, TWO_PI * rep.delta_omega_0_ghz, alpha
-                    )
+                    truth = (rep.delta_omega_c_ghz, rep.delta_omega_0_ghz, alpha)
                     sat_grid = saturation_power_grid(alpha)
                     curves = {
                         "saturation": (saturation_curve(sat_grid, rep.i_sat_counts, alpha), 0),
-                        "linewidths": (linewidth_curve(chained_fit_power_grid(alpha), model), 1),
+                        "linewidths": (linewidth_curve(chained_fit_power_grid(alpha), *truth), 1),
                     }
                 else:
                     excess = excess_curve(

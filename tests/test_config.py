@@ -345,6 +345,47 @@ class TestRejections:
         message = f"{key} must be finite and {rule} and in rad/ns, got {value} in [{section}]"
         assert message in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "section, key, value, rule",
+        [
+            ("drive", "rabi_ghz", "-1", ">= 0 in GHz and in rad/ns, got -1 in [drive]"),
+            ("drive", "rabi_ghz", "1e308", ">= 0 in GHz and in rad/ns, got 1e308 in [drive]"),
+            ("drive", "power_uw", "-1", ">= 0"),
+            ("drive", "power_uw", "inf", ">= 0"),
+            ("drive", "alpha_per_uw", "-1", "> 0"),
+            ("drive", "alpha_per_uw", "0", "> 0"),
+            ("reproduce", "delta_omega_c_ghz", "-1", ">= 0"),
+            ("reproduce", "delta_omega_0_ghz", "-1", ">= 0"),
+            ("reproduce", "intrinsic_fwhm_ghz", "-1", "> 0"),
+            ("reproduce", "intrinsic_fwhm_ghz", "0", "> 0"),
+            ("reproduce", "excess_slope_ghz_per_uw", "-0.5", ">= 0"),
+        ],
+    )
+    def test_drive_and_reproduce_values_named_with_their_range(
+        self, tmp_path, section, key, value, rule
+    ):
+        # Checked where it is parsed, so the message names the file and the key before any
+        # command runs, not a field of DriveSpec or LinewidthModelParams.
+        companions, _ = KEY_CASES[key]
+        path = write_config(tmp_path, _render(MINIMAL, companions, {section: {key: value}}))
+        with pytest.raises(ConfigError) as caught:
+            parse_config(path)
+        assert f"{path}: {key} must be finite and {rule}" in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("drive", "rabi_ghz"),
+            ("drive", "power_uw"),
+            ("reproduce", "delta_omega_c_ghz"),
+            ("reproduce", "delta_omega_0_ghz"),
+            ("reproduce", "excess_slope_ghz_per_uw"),
+        ],
+    )
+    def test_drive_and_reproduce_ranges_admit_zero(self, tmp_path, section, key):
+        companions, _ = KEY_CASES[key]
+        parse_config(write_config(tmp_path, _render(MINIMAL, companions, {section: {key: "0"}})))
+
     def test_power_style_template_without_power_wrapped(self, tmp_path):
         text = BASE.replace("rabi_ghz = 1.0", "alpha_per_uw = 0.5")
         cfg = parse_config(write_config(tmp_path, text))

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from cqed_scope.analytic import LinewidthModelParams
 from cqed_scope.dataset import ScanKind, SpectrumDataset
-from cqed_scope.model import TWO_PI, ghz_to_angular
 from cqed_scope.reproduce import (
     chained_fit_power_grid,
     chained_linewidth_fit,
@@ -17,11 +15,8 @@ from cqed_scope.reproduce import (
 )
 from cqed_scope.scan import synthesize_noisy
 
-S1_MODEL = LinewidthModelParams(
-    delta_omega_c=ghz_to_angular(12.6),
-    delta_omega_0=ghz_to_angular(1.96),
-    alpha=2.0,
-)
+#: Table 1 row S1: delta_omega_c and delta_omega_0 in GHz, alpha per uW.
+S1 = (12.6, 1.96, 2.0)
 
 
 class TestSaturationCurve:
@@ -44,10 +39,22 @@ class TestSaturationCurve:
 class TestLinewidthCurve:
     def test_matches_broadening_model_in_ghz(self):
         powers = np.geomspace(0.05, 100.0, 25)
-        data = linewidth_curve(powers, S1_MODEL)
+        data = linewidth_curve(powers, *S1)
         expected = 12.6 + 1.96 * np.sqrt(1.0 + 2.0 * powers)
         assert data.y_unit == "fwhm_ghz"
-        np.testing.assert_allclose(data.y, expected, rtol=1e-12)
+        # Evaluated in GHz: no 2 pi round trip rounds a width off the model.
+        assert np.array_equal(data.y, expected)
+
+    def test_rejects_bad_truth(self):
+        powers = np.linspace(0.5, 5.0, 6)
+        with pytest.raises(ValueError, match="linewidth contributions must be >= 0"):
+            linewidth_curve(powers, -1.0, 1.96, 2.0)
+        with pytest.raises(ValueError, match="linewidth contributions must be >= 0"):
+            linewidth_curve(powers, 12.6, float("nan"), 2.0)
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            linewidth_curve(powers, 12.6, 1.96, 0.0)
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            linewidth_curve(-powers, 12.6, 1.96, 2.0)
 
 
 class TestExcessCurve:
@@ -68,7 +75,7 @@ class TestChainedFit:
     def test_noiseless_round_trip_recovers_truth(self):
         """Calibration + frozen-alpha linewidth fit land on the inputs."""
         sat = saturation_curve(saturation_power_grid(2.0), 1000.0, 2.0)
-        widths = linewidth_curve(chained_fit_power_grid(2.0), S1_MODEL)
+        widths = linewidth_curve(chained_fit_power_grid(2.0), *S1)
         chained = chained_linewidth_fit(sat, widths)
         assert chained.alpha_reliable
         assert chained.saturation.params["i_sat"] == pytest.approx(1000.0, rel=1e-6)
@@ -91,7 +98,7 @@ class TestChainedFit:
             x_unit="uW",
             y_unit="intensity",
         )
-        widths = linewidth_curve(chained_fit_power_grid(2.0), S1_MODEL)
+        widths = linewidth_curve(chained_fit_power_grid(2.0), *S1)
         chained = chained_linewidth_fit(linear, widths)
         assert not chained.alpha_reliable
         assert chained.linewidth is None
