@@ -185,8 +185,26 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
     # Every config is checked before any row runs, so a bad one leaves no partial output.
     configs = {name: parse_config(path) for name, path in paths.items()}
     for cfg in configs.values():
-        if cfg.reproduce is None:
+        rep = cfg.reproduce
+        if rep is None:
             raise ConfigError(f"{cfg.source}: missing [reproduce] section")
+        if table == "table1":
+            if rep.delta_omega_c_ghz is None or rep.delta_omega_0_ghz is None:
+                raise ConfigError(
+                    f"{cfg.source}: [reproduce] needs delta_omega_c_ghz and delta_omega_0_ghz"
+                )
+            if cfg.alpha_per_uw is None:
+                raise ConfigError(f"{cfg.source}: [reproduce] runs need drive alpha_per_uw")
+        else:
+            if rep.intrinsic_fwhm_ghz is None or rep.excess_slope_ghz_per_uw is None:
+                raise ConfigError(
+                    f"{cfg.source}: [reproduce] needs intrinsic_fwhm_ghz and excess_slope_ghz_per_uw"
+                )
+            if cfg.power_grid is None:
+                raise ConfigError(
+                    f"{cfg.source}: [reproduce] for table2 needs a drive power grid; "
+                    "set power_min_uw/power_max_uw/power_points"
+                )
     for name, cfg in configs.items():
         rep = cfg.reproduce
         label = rep.label or name
@@ -197,10 +215,6 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
 
 
 def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
-    if rep.delta_omega_c_ghz is None or rep.delta_omega_0_ghz is None:
-        raise ConfigError(f"{cfg.source}: [reproduce] needs delta_omega_c_ghz and delta_omega_0_ghz")
-    if cfg.alpha_per_uw is None:
-        raise ConfigError(f"{cfg.source}: [reproduce] runs need drive alpha_per_uw")
     alpha = cfg.alpha_per_uw
     saturation = _maybe_noisy(
         cfg, saturation_curve(saturation_power_grid(alpha), rep.i_sat_counts, alpha)
@@ -231,10 +245,6 @@ def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
 
 
 def _reproduce_excess_row(cfg: RunConfig, rep, label: str) -> None:
-    if rep.intrinsic_fwhm_ghz is None or rep.excess_slope_ghz_per_uw is None:
-        raise ConfigError(
-            f"{cfg.source}: [reproduce] needs intrinsic_fwhm_ghz and excess_slope_ghz_per_uw"
-        )
     linewidths = _maybe_noisy(
         cfg, excess_curve(cfg.powers(), rep.intrinsic_fwhm_ghz, rep.excess_slope_ghz_per_uw)
     )
@@ -335,9 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: main may run many commands in one process, and
+# parse_args leaves the parser as it found it.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
     except (ConfigError, OSError) as exc:

@@ -9,8 +9,10 @@ exist, distinguished by their mandatory header line:
     power_uw,intensity        saturation curve
     power_uw,fwhm_ghz         linewidth versus power
 
-Files are UTF-8 with LF line endings; floats are written with repr-level
-precision so a written file re-reads to bit-identical values.
+Files are UTF-8 with LF line endings.  Each row is ``x,y`` with both floats
+in ``%.17g`` format (17 significant digits, so 0.1 is written
+``0.10000000000000001``), enough for a written file to re-read to
+bit-identical values.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class SpectrumDataset:
             raise ValueError("x and y must be 1-d arrays of equal, non-zero length")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise ValueError("dataset values must be finite")
-        if x.size > 1 and not np.all(np.diff(x) > 0.0):
+        if not np.all(x[1:] > x[:-1]):
             raise ValueError("x values must be strictly increasing")
         if (self.x_unit, self.y_unit) not in _HEADERS:
             raise ValueError(f"unsupported unit pair ({self.x_unit}, {self.y_unit})")
@@ -77,9 +79,9 @@ class SpectrumDataset:
 def write_csv(dataset: SpectrumDataset, path: str | Path) -> None:
     """Write atomically: the file appears complete or not at all."""
     path = Path(path)
-    lines = [dataset.header]
-    lines.extend(f"{x:.17g},{y:.17g}" for x, y in zip(dataset.x, dataset.y))
-    payload = "\n".join(lines) + "\n"
+    # One pass over Python floats, x0, y0, x1, y1, ...: numpy scalars format far slower.
+    values = np.column_stack((dataset.x, dataset.y)).ravel().tolist()
+    payload = f"{dataset.header}\n" + "%.17g,%.17g\n" * len(dataset) % tuple(values)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:

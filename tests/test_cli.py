@@ -1,5 +1,6 @@
 """Command-line behaviour: reports, exit codes, artifacts, determinism."""
 
+import argparse
 import os
 import re
 import shutil
@@ -227,32 +228,80 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    TABLE1_KEYS = "[reproduce] needs delta_omega_c_ghz and delta_omega_0_ghz"
+    TABLE2_KEYS = "[reproduce] needs intrinsic_fwhm_ghz and excess_slope_ghz_per_uw"
+
     @pytest.mark.parametrize(
-        "table, name, key, value",
+        "table, name, line, replacement, fault",
         [
-            ("table1", "S3", "delta_omega_0_ghz", "-1"),
-            ("table1", "S3", "delta_omega_c_ghz", "-1"),
-            ("table2", "S4", "intrinsic_fwhm_ghz", "-1"),
-            ("table2", "S4", "excess_slope_ghz_per_uw", "-0.5"),
+            (
+                "table1",
+                "S3",
+                "delta_omega_0_ghz",
+                "delta_omega_0_ghz = -1",
+                "delta_omega_0_ghz must be finite and",
+            ),
+            (
+                "table1",
+                "S3",
+                "delta_omega_c_ghz",
+                "delta_omega_c_ghz = -1",
+                "delta_omega_c_ghz must be finite and",
+            ),
+            (
+                "table2",
+                "S4",
+                "intrinsic_fwhm_ghz",
+                "intrinsic_fwhm_ghz = -1",
+                "intrinsic_fwhm_ghz must be finite and",
+            ),
+            (
+                "table2",
+                "S4",
+                "excess_slope_ghz_per_uw",
+                "excess_slope_ghz_per_uw = -0.5",
+                "excess_slope_ghz_per_uw must be finite and",
+            ),
+            # An empty replacement deletes the line: a row's required key is checked up front.
+            ("table1", "S3", "delta_omega_0_ghz", "", TABLE1_KEYS),
+            ("table1", "S3", "delta_omega_c_ghz", "", TABLE1_KEYS),
+            ("table1", "S3", "alpha_per_uw", "rabi_ghz = 1", "[reproduce] runs need drive alpha_per_uw"),
+            ("table2", "S4", "intrinsic_fwhm_ghz", "", TABLE2_KEYS),
+            ("table2", "S4", "excess_slope_ghz_per_uw", "", TABLE2_KEYS),
+            ("table2", "S4", r"power_\w+", "", "[reproduce] for table2 needs a drive power grid"),
+        ],
+        ids=[
+            "table1-S3-delta_omega_0_ghz--1",
+            "table1-S3-delta_omega_c_ghz--1",
+            "table2-S4-intrinsic_fwhm_ghz--1",
+            "table2-S4-excess_slope_ghz_per_uw--0.5",
+            "table1-S3-no-delta_omega_0_ghz",
+            "table1-S3-no-delta_omega_c_ghz",
+            "table1-S3-no-alpha_per_uw",
+            "table2-S4-no-intrinsic_fwhm_ghz",
+            "table2-S4-no-excess_slope_ghz_per_uw",
+            "table2-S4-no-power-grid",
         ],
     )
     def test_reproduce_checks_every_config_before_writing(
-        self, tmp_path, capsys, monkeypatch, table, name, key, value
+        self, tmp_path, capsys, monkeypatch, table, name, line, replacement, fault
     ):
-        # The bad value sits in the table's last config, so every earlier row would have
-        # printed and written its CSVs had the configs not all been parsed first.
+        # The bad config is the table's last, so every earlier row would have
+        # printed and written its CSVs had the configs not all been checked first.
         config_dir = tmp_path / table
         shutil.copytree(CONFIG_DIR / table, config_dir)
         bad = config_dir / f"{name}.ini"
-        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", bad.read_text(), flags=re.M)
-        assert count == 1
+        text, count = re.subn(
+            rf"^{line} = .*\n", replacement and replacement + "\n", bad.read_text(), flags=re.M
+        )
+        assert count >= 1
         bad.write_text(text)
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
         rc, _, captured = run_cli(
             capsys, ["reproduce", "--table", table, "--config-dir", str(config_dir)]
         )
         assert rc == 2
-        assert f"{bad}: {key} must be finite and" in captured.err
+        assert f"{bad}: {fault}" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -752,6 +801,67 @@ class TestReproduceCommand:
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
         for name, data in expected.items():
             assert (out / name).read_bytes() == data, name
+
+
+class TestInProcessCalls:
+    """Commands run in one process share the parser built at import and leak nothing."""
+
+    SMALL_SCAN = DETUNED_BASE.replace("rabi_ghz = 1.0", "rabi_ghz = 0.2") + (
+        "\n[numerics]\nfock_cutoff = 3\nscan_points = 41\n"
+    )
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    @pytest.fixture
+    def widths(self, tmp_path):
+        powers = np.geomspace(0.1, 200.0, 25)
+        y = 12.6 + 1.96 * np.sqrt(1.0 + 0.2 * powers)
+        path = tmp_path / "width.csv"
+        write_csv(SpectrumDataset(ScanKind.POWER_SWEEP, powers, y, "uW", "fwhm_ghz"), path)
+        return str(path)
+
+    def test_alpha_does_not_reach_a_later_linear_fit(self, capsys, parsers_built, widths):
+        first = run_cli(capsys, ["fit", "linear", widths])
+        assert first[0] == 0
+        assert run_cli(capsys, ["fit", "power-broadening", widths, "--alpha", "0.2"])[0] == 0
+        assert run_cli(capsys, ["fit", "linear", widths]) == first
+        assert parsers_built == []
+
+    def test_target_override_does_not_reach_a_later_scan(self, tmp_path, capsys, parsers_built):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--config", str(write_ini(tmp_path, self.SMALL_SCAN)), "--out", str(out)]
+        first = run_cli(capsys, argv)
+        first_csv = out.read_bytes()
+        assert first[0] == 0
+        assert run_cli(capsys, [*argv, "--target", "cavity"])[0] == 0
+        assert out.read_bytes() != first_csv
+        assert run_cli(capsys, argv) == first
+        assert out.read_bytes() == first_csv
+        assert parsers_built == []
+
+    @pytest.mark.parametrize(
+        "argv", [["frobnicate"], ["fit", "linear"], ["scan"], ["fit", "linear", "x.csv", "--bad"]]
+    )
+    def test_usage_error_leaves_the_next_command_as_if_first(
+        self, capsys, parsers_built, widths, argv
+    ):
+        first = run_cli(capsys, ["fit", "linear", widths])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: cqed-scope" in capsys.readouterr().err
+        assert run_cli(capsys, ["fit", "linear", widths]) == first
+        assert parsers_built == []
 
 
 class TestModuleEntryPoint:

@@ -10,6 +10,14 @@ from hypothesis import strategies as st
 
 from cqed_scope.dataset import ScanKind, SpectrumDataset, read_csv, write_csv
 
+# Any finite double, with the edges of the range drawn often: zeros of both signs,
+# subnormals and values near the largest double.
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
 
 def _scan(x, y, x_unit="nm", y_unit="intensity", kind=ScanKind.LASER_WAVELENGTH):
     return SpectrumDataset(kind=kind, x=x, y=y, x_unit=x_unit, y_unit=y_unit)
@@ -163,7 +171,7 @@ class TestCsvRoundTrip:
         )
     )
     def test_any_finite_values_round_trip_bitwise(self, y):
-        """repr-precision formatting loses nothing across the double range."""
+        """17 significant digits lose nothing across the double range."""
         x = np.arange(1.0, len(y) + 1.0)
         ds = _scan(
             x, np.array(y), x_unit="uW", y_unit="fwhm_ghz", kind=ScanKind.POWER_SWEEP
@@ -174,6 +182,26 @@ class TestCsvRoundTrip:
             back = read_csv(path)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
+
+    @given(
+        rows=st.lists(
+            st.tuples(_EDGE_FLOATS, _EDGE_FLOATS),
+            min_size=1,
+            max_size=300,
+            unique_by=lambda row: row[0],
+        )
+    )
+    def test_file_is_header_plus_one_17g_line_per_row(self, rows):
+        rows.sort()
+        x, y = zip(*rows)
+        ds = _scan(x, y, x_unit="uW", y_unit="fwhm_ghz", kind=ScanKind.POWER_SWEEP)
+        expected = "power_uw,fwhm_ghz\n" + "".join(
+            f"{float(a):.17g},{float(b):.17g}\n" for a, b in zip(ds.x, ds.y)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            write_csv(ds, path)
+            assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestReadErrors:
