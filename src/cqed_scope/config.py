@@ -154,8 +154,9 @@ class RunConfig:
 
     def powers(self) -> np.ndarray:
         if self.power_grid is None:
+            where = f"{self.source}: " if self.source else ""
             raise ConfigError(
-                "no power grid configured; set power_min_uw/power_max_uw/power_points"
+                f"{where}no power grid configured; set power_min_uw/power_max_uw/power_points"
             )
         lo, hi, count, scale = self.power_grid
         if scale == "log":

@@ -10,9 +10,11 @@ Four models are supported:
 Both nonlinear models are solved by variable projection (Golub & Pereyra 1973):
 the Lorentzian, linear in amplitude and baseline, by Gauss-Newton in centre and
 width, the saturation curve, linear in ``I_sat``, by a bracketed search over one
-unknown.  Both take uncertainties from the inverse Gauss-Newton Hessian of an
-analytic Jacobian scaled by the residual variance.  The two models that are
-linear in their parameters share one closed-form least-squares line.
+unknown, ``beta = alpha/(1 + alpha)``, whose Gauss-Newton steps are taken in the
+log-odds ``log(beta/(1 - beta)) = log(alpha)``.  Both take uncertainties from the
+inverse Gauss-Newton Hessian of an analytic Jacobian scaled by the residual
+variance.  The two models that are linear in their parameters share one
+closed-form least-squares line.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ class FitResult:
     uncertainties are 1-sigma estimates.  ``residual_norm`` is the root
     mean square residual.  The closed-form fits report ``converged`` with 0
     iterations.  The Lorentzian counts its Gauss-Newton steps in centre and
-    width, at most ``MAX_ITERATIONS``; the saturation fit counts its steps in
-    its one unknown, which have no budget, and reports 0 for a verdict at
-    either end.
+    width, at most ``MAX_ITERATIONS``; the saturation fit counts the points its
+    search evaluates between the two ends, which have no budget, and reports 0
+    for a verdict at either end.
     An iterative fit sets ``converged`` exactly when the gradient of the
     sum-of-squares objective at the returned parameters satisfies
     ``||grad|| <= 1e-8 * (1 + objective)`` (for the saturation fit, the slope
@@ -270,8 +272,14 @@ def fit_saturation(data: SpectrumDataset) -> FitResult:
     gradient criterion, the data never bend: ``alpha = 0``, ``I_sat = inf``.
     Where it does not fall away from ``beta = 1``, every power is saturated:
     ``alpha = inf``.  Both verdicts carry infinite uncertainties and a note.
-    Between them, Gauss-Newton steps on the projected residual are bracketed by
-    the sign of the profile's slope.  Raises ``NoSignalError`` on all-zero data.
+    Between them, the search starts at ``beta = 0``'s own Gauss-Newton step where
+    that lands in ``(0, 1/2]``, else at ``1/2``.  From there each Gauss-Newton
+    step on the projected residual is taken in the log-odds
+    ``t = log(beta/(1 - beta))``, in which the profile of log-spaced powers is
+    nearly quadratic.  The sign of the profile's slope keeps a bracket; a step
+    that leaves it or does not halve the last one in ``t`` is replaced by
+    bisection (in ``t`` once both ends are interior).  ``iterations`` counts these
+    points.  Raises ``NoSignalError`` on all-zero data.
     """
     x = data.x
     if x.size < 5:
@@ -290,9 +298,10 @@ def fit_saturation(data: SpectrumDataset) -> FitResult:
         den = np.where(zero, 1.0, 1.0 - beta * u)
         g = x / den
         dg = g * u / den
-        c = float(g @ y) / float(g @ g)
+        gg = float(g @ g)
+        c = float(g @ y) / gg
         res = y - c * g
-        jp = c * (dg - g * (float(g @ dg) / float(g @ g)))
+        jp = c * (dg - g * (float(g @ dg) / gg))
         descent, curvature = float(jp @ res), float(jp @ jp)
         step = descent / curvature if curvature else 0.0  # J_p = 0 only where c = 0
         return c, res, step, 2.0 * descent / (GRADIENT_RTOL * (1.0 + float(res @ res)))
@@ -316,17 +325,33 @@ def fit_saturation(data: SpectrumDataset) -> FitResult:
 
     # Stop once the criterion holds twice running: the step past the first is
     # nearly free and takes small residuals to rounding level.
-    lo, hi, beta, taken, iterations, settled, met = 0.0, 1.0, 0.0, 1.0, 0, False, False
+    lo, hi, beta, taken, iterations, settled, met = 0.0, 1.0, 0.0, math.inf, 0, False, False
     while not (settled and met):
         lo, hi = (beta, hi) if fall > 0.0 else (lo, beta)
-        trial = beta + step
-        # Bisect a step that leaves the bracket or does not halve the last one
-        # (Gauss-Newton converges only linearly on large residuals).
-        if not (lo < trial < hi and abs(step) <= 0.5 * abs(taken)):
-            trial = 0.5 * (lo + hi)
-        if beta + step == beta or trial in (lo, hi):
+        if beta == 0.0:
+            trial = newton = min(step, 0.5)
+            delta = math.inf
+        else:
+            # The log-odds step moves beta additively: sigma(t + delta) would round off
+            # the last steps near beta = 1.  exp overflows past 709.8, and a step of 700
+            # already takes any beta > 1e-280 to 1 within rounding.
+            delta = step / (beta * (1.0 - beta))
+            grow = math.expm1(min(delta, 700.0))
+            trial = newton = beta + beta * (1.0 - beta) * grow / (1.0 + beta * grow)
+            # Bisect a step that leaves the bracket or does not halve the last one
+            # (Gauss-Newton converges only linearly on large residuals): in t once
+            # both ends are interior, else in beta.
+            if not (lo < trial < hi and abs(delta) <= 0.5 * abs(taken)):
+                if lo > 0.0 and hi < 1.0:
+                    odds = math.sqrt(lo * hi)
+                    trial = odds / (odds + math.sqrt((1.0 - lo) * (1.0 - hi)))
+                else:
+                    trial = 0.5 * (lo + hi)
+        if newton == beta or trial in (lo, hi):
             break
-        beta, taken, iterations = trial, trial - beta, iterations + 1
+        if trial != newton:
+            delta = math.log(trial * (1.0 - beta) / (beta * (1.0 - trial)))
+        beta, taken, iterations = trial, delta, iterations + 1
         c, res, step, fall = profile(beta)
         settled, met = met, abs(fall) <= 1.0
 

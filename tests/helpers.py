@@ -154,3 +154,61 @@ def rk4_states(liouvillian: np.ndarray, rho0: np.ndarray, times, dt_max: float) 
         t_prev = t
         states.append(vec.reshape(rho0.shape))
     return states
+
+
+def saturation_ssr(x, y, b: float) -> float:
+    """Sum of squares of ``y - c*b*x/(1 - b + b*x)`` at the best ``c``; ``b = 0`` takes the limit
+    shape ``x``.  ``x`` is in units of the largest power."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = b * x / np.where(x > 0.0, 1.0 - b + b * x, 1.0) if b > 0.0 else x
+    fitted = shape * (float(shape @ y) / float(shape @ shape))
+    return float(np.sum((y - fitted) ** 2))
+
+
+def saturation_minima(x, y) -> list[tuple[float, float, float]]:
+    """Every local minimum ``b`` of ``saturation_ssr`` over ``[0, 1]``, lowest first.
+
+    The profile of noisy data can have more than one: a few noisy points can dip it near
+    ``b = 1`` below a broad minimum further in.
+
+    A scan of 1301 points evenly spaced in the log-odds ``t = log(b/(1 - b))`` from -30 to
+    35 (the last ``b`` below 1, ``1 - 2**-53``, sits at ``t`` = 36.7), plus both ends,
+    brackets each minimum; a golden-section search in ``b`` then runs until its interior
+    points meet in floating point.  Each minimum comes back as ``(b, S(b), S_tt)``, where
+    ``S_tt`` is the curvature of ``S`` in ``t`` from a second difference of step 0.01 in
+    ``t`` (``nan`` at either end).
+    """
+
+    def ssr(b: float) -> float:
+        return saturation_ssr(x, y, b)
+
+    def odds_to_b(t: float) -> float:
+        return 1.0 / (1.0 + math.exp(-t))
+
+    grid = [0.0] + [odds_to_b(t) for t in np.linspace(-30.0, 35.0, 1301)] + [1.0]
+    values = [ssr(b) for b in grid]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    minima = []
+    for k, value in enumerate(values):
+        if k > 0 and values[k - 1] <= value or k + 1 < len(grid) and values[k + 1] < value:
+            continue  # the first of equal values stands for them all
+        if k in (0, len(grid) - 1):
+            minima.append((grid[k], value, math.nan))
+            continue
+        lo, hi = grid[k - 1], grid[k + 1]
+        left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        s_left, s_right = ssr(left), ssr(right)
+        while lo < left < right < hi:
+            if s_left <= s_right:
+                hi, right, s_right = right, left, s_left
+                left = hi - ratio * (hi - lo)
+                s_left = ssr(left)
+            else:
+                lo, left, s_left = left, right, s_right
+                right = lo + ratio * (hi - lo)
+                s_right = ssr(right)
+        b, s = (left, s_left) if s_left <= s_right else (right, s_right)
+        t, h = math.log(b / (1.0 - b)), 0.01
+        minima.append((b, s, (ssr(odds_to_b(t + h)) - 2.0 * s + ssr(odds_to_b(t - h))) / h**2))
+    return sorted(minima, key=lambda m: m[1])

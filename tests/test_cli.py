@@ -152,6 +152,17 @@ class TestExitCodes:
         assert rc == 2
         assert "0 <= min < max" in captured.err
 
+    def test_sweep_without_a_power_grid_names_the_config(self, tmp_path, capsys):
+        # A Rabi drive needs no power grid, so only power-sweep finds it missing.
+        text = (CONFIG_DIR / "example.ini").read_text()
+        text = re.sub(r"^alpha_per_uw = .*$", "rabi_ghz = 5", text, flags=re.M)
+        text = re.sub(r"^power_\w+ = .*\n", "", text, flags=re.M)
+        path = write_ini(tmp_path, text)
+        rc, _, captured = run_cli(capsys, ["power-sweep", "--config", str(path)])
+        assert rc == 2
+        assert f"{path}: no power grid configured" in captured.err
+        assert captured.out == ""
+
     def test_unreachable_residual_tolerance_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lindblad, "STEADY_RESIDUAL_TOL", 1e-30)
         text = DETUNED_BASE + "\n[numerics]\nfock_cutoff = 1\n"
@@ -729,6 +740,14 @@ class TestReproduceCommand:
             )
             assert (tmp_path / f"table1_{label}_saturation.csv").is_file()
             assert (tmp_path / f"table1_{label}_linewidths.csv").is_file()
+        # Each calibration CSV refits within 9 steps: the log-spaced grid ends at 200 / alpha,
+        # so beta = 200/201, which one log-odds step from beta = 1/2 nearly reaches.
+        for label in ("S1", "S2", "S3"):
+            saturation = tmp_path / f"table1_{label}_saturation.csv"
+            rc, fit_report, _ = run_cli(capsys, ["fit", "saturation", str(saturation)])
+            assert rc == 0
+            assert fit_report["converged"] == "True"
+            assert int(fit_report["iterations"]) <= 9
 
     def test_table1_dot_on_the_cavity_omits_the_feeding_estimate(
         self, tmp_path, capsys, monkeypatch

@@ -1,5 +1,6 @@
 """Least-squares models: line shapes, saturation, power broadening, lines."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from cqed_scope.fit import (
 )
 from cqed_scope.scan import synthesize_noisy
 
-from helpers import central_gradient, lorentzian
+from helpers import central_gradient, lorentzian, saturation_minima, saturation_ssr
 
 
 def wavelength_dataset(x, y):
@@ -353,6 +354,91 @@ class TestFitSaturation:
         assert result.converged
         assert result.param_unreliable("alpha_per_uw")
         assert result.message == "alpha under-determined; data saturated at every power"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.integers(min_value=5, max_value=300),
+        log_p_max=st.floats(min_value=-2.0, max_value=3.0),
+        low_fraction=st.floats(min_value=1e-3, max_value=0.3),
+        log_spaced=st.booleans(),
+        shape=st.sampled_from(["curve", "line", "plateau"]),
+        log_saturation=st.floats(min_value=math.log10(0.03), max_value=math.log10(5000.0)),
+        log_i_sat=st.floats(min_value=-3.0, max_value=3.0),
+        noise=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.3)),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    # Five noisy points on a plateau: the profile's lowest minimum lies at alpha * P = 970,
+    # but the bracketed search lands on the one at 2.6 (and flags that alpha unreliable).
+    @example(
+        points=5, log_p_max=0.0, low_fraction=0.00390625, log_spaced=False, shape="plateau",
+        log_saturation=0.0, log_i_sat=0.0, noise=0.25, seed=5,
+    )
+    def test_alpha_agrees_with_a_golden_section_oracle(
+        self, points, log_p_max, low_fraction, log_spaced, shape, log_saturation, log_i_sat,
+        noise, seed,
+    ):
+        # The curve, a line through the origin (never bends) or a plateau (saturated at
+        # every power), with multiplicative noise.
+        p_max = 10.0**log_p_max
+        grid = np.geomspace if log_spaced else np.linspace
+        x = grid(low_fraction * p_max, p_max, points)
+        alpha = 10.0**log_saturation / p_max
+        clean = {"curve": alpha * x / (1.0 + alpha * x), "line": x / p_max,
+                 "plateau": np.ones_like(x)}[shape]
+        data = synthesize_noisy(saturation_dataset(x, 10.0**log_i_sat * clean), noise, seed)
+        if np.all(data.y == 0.0):
+            return
+        result = fit_saturation(data)
+
+        # The oracle solves the fit's normalised problem: powers in units of the largest
+        # one, intensities divided by their power-of-two scale.
+        xn, yn = x / p_max, data.y / power_of_two_scale(data.y)
+        minima = saturation_minima(xn, yn)
+        eps = np.finfo(float).eps
+
+        def rounding(ssr):
+            # S rounds off by a few ulps of ||r|| ||y|| (each residual by a few ulps of y).
+            return 8.0 * eps * (math.sqrt(ssr) * float(np.linalg.norm(yn)) + ssr)
+
+        if noise == 0.0 and shape != "curve":
+            assert not result.converged
+            assert (result.message == "alpha under-determined; data never saturates") == (
+                shape == "line"
+            )
+        if not result.converged:
+            # A verdict at either end, where the profile's slope meets the gradient
+            # criterion: if S is convex up to the end's nearest minimum, S falls from the
+            # end by at most that slope times the distance.
+            never = result.message == "alpha under-determined; data never saturates"
+            assert never or result.message == "alpha under-determined; data saturated at every power"
+            assert result.params["alpha_per_uw"] == (0.0 if never else math.inf)
+            assert result.uncertainties["alpha_per_uw"] == math.inf
+            end = 0.0 if never else 1.0
+            end_ssr = saturation_ssr(xn, yn, end)
+            beta, ssr, _ = min(minima, key=lambda m: abs(m[0] - end))
+            fall = fit.GRADIENT_RTOL * (1.0 + end_ssr) * abs(beta - end)
+            assert end_ssr - ssr <= fall + rounding(ssr)
+            return
+        # Converged: |dS/dbeta| <= GRADIENT_RTOL * (1 + S), so the fit lies within that times
+        # beta * (1 - beta) / S_tt of a minimum in t = log(alpha * P_max) (doubled for the
+        # change in curvature), give or take the oracle's resolution, sqrt(2 rounding / S_tt).
+        # The bracketed search finds a minimum, not always the lowest: take the nearest.
+        t_fit = math.log(result.params["alpha_per_uw"] * p_max)
+        interior = [(math.log(m[0] / (1.0 - m[0])), *m) for m in minima if 0.0 < m[0] < 1.0]
+        t, beta, ssr, curvature = min(interior, key=lambda m: abs(m[0] - t_fit))
+        assert curvature > 0.0
+        spread = beta * (1.0 - beta)
+        tolerance = (2.0 * fit.GRADIENT_RTOL * (1.0 + ssr) * spread / curvature
+                     + 2.0 * math.sqrt(2.0 * rounding(ssr) / curvature) + 4.0 * eps / spread)
+        assert abs(t_fit - t) <= tolerance
+
+    def test_a_log_odds_step_past_exp_range_is_bisected(self):
+        # One outlier among powers from 1e-8 to 1: beta = 0's step starts the search near
+        # 1e-8, where the next Gauss-Newton step in the log-odds is far beyond exp's range.
+        x = np.array([1e-8, 2e-8, 3e-8, 4e-8, 1.0])
+        result = fit_saturation(saturation_dataset(x, np.array([1e-8, 2.0, 3e-8, 4e-8, 1.5])))
+        assert not result.converged
+        assert result.message == "profile slope not resolved in floating point"
 
     def test_convergence_flag_certifies_the_gradient_criterion(self):
         # The exact analytic gradient at the reported optimum satisfies the
