@@ -9,17 +9,22 @@ exist, distinguished by their mandatory header line:
     power_uw,intensity        saturation curve
     power_uw,fwhm_ghz         linewidth versus power
 
-Files are UTF-8 with LF line endings.  Each row is ``x,y`` with both floats
-in ``%.17g`` format (17 significant digits, so 0.1 is written
+Written files are UTF-8 with LF line endings.  Each row is ``x,y`` with both
+floats in ``%.17g`` format (17 significant digits, so 0.1 is written
 ``0.10000000000000001``), enough for a written file to re-read to
-bit-identical values.
+bit-identical values.  A written file gets the permissions a plain
+``open(path, "w")`` gives a new file, so they follow the umask.
+
+Reading accepts more: LF or CRLF line endings, blank and whitespace-only
+lines anywhere, and any cell ``float()`` reads, with spaces or tabs around
+it.  A malformed row is reported with its line number in the file, blank
+lines counted.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,11 +83,14 @@ class SpectrumDataset:
 
 def write_csv(dataset: SpectrumDataset, path: str | Path) -> None:
     """Write atomically: the file appears complete or not at all."""
-    path = Path(path)
     # One pass over Python floats, x0, y0, x1, y1, ...: numpy scalars format far slower.
     values = np.column_stack((dataset.x, dataset.y)).ravel().tolist()
     payload = f"{dataset.header}\n" + "%.17g,%.17g\n" * len(dataset) % tuple(values)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # A new file under a unique name, created as open(path, "w") creates one: mode 0o666
+    # less the umask (tempfile.mkstemp would give 0o600, and the rename keeps the mode).
+    tmp_name = f"{path}{os.urandom(8).hex()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp_name, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
@@ -98,23 +106,59 @@ def write_csv(dataset: SpectrumDataset, path: str | Path) -> None:
 def read_csv(path: str | Path) -> SpectrumDataset:
     """Parse a CSV written by :func:`write_csv` (or anything matching its shape).
 
-    Every ``ValueError`` it raises names the file.
+    Lines may end in LF or CRLF, blank and whitespace-only lines are skipped
+    anywhere, and a cell may be anything ``float()`` reads, with spaces or tabs
+    around it.  Every ``ValueError`` it raises names the file; one about a row
+    also names that row's line number in the file, blank lines counted.
     """
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+            lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text") from exc
-    if not lines:
+    start = next((n for n, line in enumerate(lines) if line.strip()), None)
+    if start is None:
         raise ValueError(f"{path}: empty file")
-    header = lines[0][1]
+    header = lines[start].strip()
     if header not in _HEADER_TO_UNITS:
         raise ValueError(f"{path}: unrecognised header {header!r}")
     x_unit, y_unit = _HEADER_TO_UNITS[header]
+    x, y = _parse_rows(path, lines, start + 1)
+    kind = _KIND_OF_X_UNIT[x_unit]
+    try:
+        return SpectrumDataset(kind=kind, x=x, y=y, x_unit=x_unit, y_unit=y_unit)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_rows(path: Path, lines: list[str], first: int) -> np.ndarray:
+    """The ``x,y`` rows of ``lines[first:]`` as a C-contiguous ``(2, n)`` array.
+
+    numpy's C reader takes every row in one call and converts each cell as
+    ``float()`` does, bit for bit.  It raises ``ValueError`` on some input that
+    ``float()`` reads (whitespace-only lines, ``1_000``, non-ASCII digits), and
+    its errors do not count the file's lines, so then the rows are parsed again
+    one line at a time: that loop returns those values or raises the error
+    naming the row's line.
+    """
+    rows = lines[first:]
+    # numpy warns on input with no rows; the loop returns no points for it.  A '#' starts
+    # no comment (comments=None), so "1,2 # note" fails here as it does in the loop.
+    if any(line.strip() for line in rows):
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == 2:
+                return table.T.copy()
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, line in lines[1:]:
+    for lineno, line in enumerate(rows, start=first + 1):
+        line = line.strip()
+        if not line:
+            continue
         cells = line.split(",")
         if len(cells) != 2:
             raise ValueError(f"{path}:{lineno}: expected two comma-separated values")
@@ -123,10 +167,4 @@ def read_csv(path: str | Path) -> SpectrumDataset:
             ys.append(float(cells[1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-    kind = _KIND_OF_X_UNIT[x_unit]
-    try:
-        return SpectrumDataset(
-            kind=kind, x=np.array(xs), y=np.array(ys), x_unit=x_unit, y_unit=y_unit
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return np.array([xs, ys])

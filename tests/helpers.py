@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths: widths
 come from direct half-maximum interpolation, gradients from central
-differences, and density matrices from explicit outer products, so tests
-compare the library against a second route rather than against itself.
+differences, density matrices from explicit outer products, and CSV columns
+from ``str.split`` and ``float()``, so tests compare the library against a
+second route rather than against itself.
 """
 
 from __future__ import annotations
@@ -212,3 +213,15 @@ def saturation_minima(x, y) -> list[tuple[float, float, float]]:
         t, h = math.log(b / (1.0 - b)), 0.01
         minima.append((b, s, (ssr(odds_to_b(t + h)) - 2.0 * s + ssr(odds_to_b(t - h))) / h**2))
     return sorted(minima, key=lambda m: m[1])
+
+
+def csv_columns(text: str) -> tuple[str, list[float], list[float]]:
+    """Header and both columns of two-column CSV text, by ``str.split`` and ``float()`` alone.
+
+    Lines end in LF or CRLF; blank and whitespace-only lines are skipped, and so is the
+    whitespace around each cell.  A row that is not two cells ``float()`` reads raises
+    ``ValueError``.
+    """
+    header, *rows = [line.strip() for line in text.split("\n") if line.strip()]
+    cells = [row.split(",") for row in rows]
+    return header, [float(x) for x, _ in cells], [float(y) for _, y in cells]

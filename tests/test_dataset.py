@@ -1,10 +1,15 @@
 """Dataset container validation and CSV round-tripping."""
 
+import math
+import os
+import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import csv_columns
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +22,54 @@ _EDGE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]),
     st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
 )
+
+
+# The three ways a float is commonly written: shortest round-trip, 17 digits and 7 digits.
+_CELL_FORMATS = (repr, "{:.17g}".format, "{:.6e}".format)
+_SPACING = st.text(alphabet=" \t", max_size=3)
+
+
+@st.composite
+def _edited_csv(draw):
+    """A linewidth CSV as a person or another program might write it.
+
+    Returns ``(lines, ends, rows)``: line ``k + 1`` of the file is ``lines[k] + ends[k]``,
+    and ``rows`` indexes the data lines.  Cells are finite floats in any of
+    ``_CELL_FORMATS``, some with a ``+`` sign and with spaces and tabs around them.  Blank
+    lines, and in half the files whitespace-only ones too, sit before and between the rows.
+    Each line ends in LF or CRLF, the last one perhaps in neither.  Rows whose x does not
+    read larger than the previous row's are dropped, so the file holds a valid dataset.
+    """
+
+    def cell(value: float) -> str:
+        text = draw(st.sampled_from(_CELL_FORMATS))(value)
+        if not text.startswith("-") and draw(st.booleans()):
+            text = "+" + text
+        return draw(_SPACING) + text + draw(_SPACING)
+
+    # Blank lines, or blank and whitespace-only ones, as a hand edit or an export leaves them.
+    gap = st.lists(_SPACING if draw(st.booleans()) else st.just(""), max_size=2)
+    lines = [*draw(gap), "power_uw,fwhm_ghz"]
+    rows = []
+    last = -math.inf
+    points = draw(st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=40))
+    for x, y in sorted(points):
+        x_cell = cell(x)
+        if float(x_cell) <= last:
+            continue
+        last = float(x_cell)
+        lines += draw(gap)
+        rows.append(len(lines))
+        lines.append(f"{x_cell},{cell(y)}")
+    lines += draw(gap)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return lines, ends, rows
+
+
+def _write_lines(path: Path, lines, ends) -> None:
+    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
 
 
 def _scan(x, y, x_unit="nm", y_unit="intensity", kind=ScanKind.LASER_WAVELENGTH):
@@ -123,6 +176,7 @@ class TestCsvRoundTrip:
         assert back.x_unit == "nm" and back.y_unit == "intensity"
         assert np.array_equal(back.x, x)
         assert np.array_equal(back.y, y)
+        assert back.x.flags.c_contiguous and back.y.flags.c_contiguous
 
     def test_file_bytes_are_lf_only_with_exact_header(self, tmp_path):
         ds = _scan([1.0, 2.0], [0.5, 0.25], x_unit="uW", kind=ScanKind.POWER_SWEEP)
@@ -151,6 +205,19 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.x, replacement.x)
         assert np.array_equal(back.y, replacement.y)
         assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_written_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        """A written CSV gets the permissions a plain ``open(path, "w")`` would give it."""
+        path = tmp_path / "scan.csv"
+        previous = os.umask(umask)
+        try:
+            write_csv(_scan([1.0, 2.0], [0.0, 1.0]), path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
     def test_power_sweep_kinds_survive_round_trip(self, tmp_path):
         for y_unit in ("intensity", "fwhm_ghz"):
@@ -204,6 +271,47 @@ class TestCsvRoundTrip:
             assert path.read_bytes() == expected.encode("utf-8")
 
 
+class TestReadAgainstOracle:
+    """``read_csv`` against ``helpers.csv_columns`` on CSVs not written by ``write_csv``."""
+
+    @given(csv=_edited_csv())
+    def test_values_are_the_oracles_bits(self, csv):
+        lines, ends, _ = csv
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.csv"
+            _write_lines(path, lines, ends)
+            header, xs, ys = csv_columns(path.read_bytes().decode("utf-8"))
+            ds = read_csv(path)
+        assert ds.header == header
+        assert ds.x.tobytes() == np.array(xs).tobytes()
+        assert ds.y.tobytes() == np.array(ys).tobytes()
+
+    @given(
+        csv=_edited_csv(),
+        corruption=st.sampled_from(
+            [
+                ("{x}", "expected two comma-separated values"),
+                ("{x},{y},{y}", "expected two comma-separated values"),
+                ("{x},high", "non-numeric cell"),
+                ("{x},{y} # note", "non-numeric cell"),
+            ]
+        ),
+        data=st.data(),
+    )
+    def test_a_corrupt_row_is_named_by_its_line(self, csv, corruption, data):
+        lines, ends, rows = csv
+        row = data.draw(st.sampled_from(rows), label="row")
+        template, reason = corruption
+        x, y = lines[row].split(",")
+        lines = [*lines[:row], template.format(x=x, y=y), *lines[row + 1 :]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corrupt.csv"
+            _write_lines(path, lines, ends)
+            with pytest.raises(ValueError) as excinfo:
+                read_csv(path)
+        assert str(excinfo.value) == f"{path}:{row + 1}: {reason}"
+
+
 class TestReadErrors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -229,9 +337,11 @@ class TestReadErrors:
         with pytest.raises(ValueError, match=r"bad\.csv:2: expected two comma-separated"):
             read_csv(path)
 
-    def test_non_numeric_cell_names_line(self, tmp_path):
+    # A '#' starts no comment: the cell it sits in does not read as a number.
+    @pytest.mark.parametrize("row", ["931,high", "931,2 # note", "# 931,2"])
+    def test_non_numeric_cell_names_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
-        path.write_text("wavelength_nm,intensity\n930,1\n931,high\n")
+        path.write_text(f"wavelength_nm,intensity\n930,1\n{row}\n")
         with pytest.raises(ValueError, match=r"bad\.csv:3: non-numeric cell"):
             read_csv(path)
 
@@ -241,15 +351,31 @@ class TestReadErrors:
         with pytest.raises(ValueError, match=r"gappy\.csv:5: non-numeric cell"):
             read_csv(path)
 
-    def test_header_only_file_has_no_points(self, tmp_path):
+    @pytest.mark.parametrize("after", ["", "\n", "\n \t\n"])
+    def test_header_only_file_has_no_points(self, tmp_path, after):
         path = tmp_path / "headeronly.csv"
-        path.write_text("wavelength_nm,intensity\n")
-        with pytest.raises(ValueError, match="equal, non-zero length"):
-            read_csv(path)
+        path.write_text("wavelength_nm,intensity\n" + after)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="equal, non-zero length"):
+                read_csv(path)
+        assert caught == []
 
-    def test_blank_lines_between_rows_tolerated(self, tmp_path):
+    @pytest.mark.parametrize("gap", ["", "   ", "\t\t", " \t "])
+    def test_blank_lines_between_rows_tolerated(self, tmp_path, gap):
         path = tmp_path / "gaps.csv"
-        path.write_text("wavelength_nm,intensity\n930,1\n\n931,2\n")
+        path.write_text(f"wavelength_nm,intensity\n930,1\n{gap}\n931,2\n")
         ds = read_csv(path)
         assert np.array_equal(ds.x, [930.0, 931.0])
         assert np.array_equal(ds.y, [1.0, 2.0])
+
+    # float() reads underscores between digits and any Unicode decimal digits.
+    @pytest.mark.parametrize(
+        "row, x, y", [("1_000,2", 1000.0, 2.0), ("1,2_5", 1.0, 25.0), ("\u0661,\u0662", 1.0, 2.0)]
+    )
+    def test_any_cell_float_reads_is_read_as_float_reads_it(self, tmp_path, row, x, y):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"power_uw,intensity\n0.5,1\n{row}\n", encoding="utf-8")
+        ds = read_csv(path)
+        assert ds.x.tolist() == [0.5, x]
+        assert ds.y.tolist() == [1.0, y]
