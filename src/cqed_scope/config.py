@@ -1,5 +1,10 @@
 """Strict INI run configuration.
 
+A file is UTF-8, optionally starting with a byte-order mark.  A key line is ``key = value``
+or ``key: value``; ``#`` starts a comment at the start of a line or after whitespace, so
+``stem = run#1`` keeps ``run#1``; and a line indented deeper than its key line continues the
+value.  A malformed line is rejected as ``<file>:<line>: <reason>``.
+
 Each key is declared once, with its type and its range, in ``_KEYS``.  Anything
 unknown is rejected by name so a typo cannot fall back to a default, and every
 number must be finite.  File frequencies are ordinary GHz, wavelengths nm,
@@ -8,9 +13,9 @@ powers uW; conversion to angular units happens here and nowhere else.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,6 +95,9 @@ _KEYS: dict[str, dict[str, tuple[type, tuple | None]]] = {
         "excess_slope_ghz_per_uw": (float, _NONNEGATIVE),
     },
 }
+
+#: A key line: the key, up to the first ``=`` or ``:``, and the value after it.
+_KEY_LINE = re.compile(r"([^=:]*)[=:](.*)")
 
 _REQUIRED = {
     "system": {"qd_wavelength_nm", "cavity_wavelength_nm", "g_ghz", "kappa_ghz", "gamma_ghz"},
@@ -183,45 +191,90 @@ def _convert(section: str, key: str, text: str, source: str) -> float | int | st
     return value
 
 
+def _read_ini(path: Path) -> dict[str, dict[str, str]]:
+    """``{section: {key: text}}`` of one INI file, read in one pass.
+
+    It returns what configparser returns with ``#`` comments, also inline, no interpolation,
+    strict duplicates and case-sensitive keys.  A section name ends at the last ``]`` of its
+    header line, a key at the first ``=`` or ``:``; a value's continuation lines join with
+    newlines, blank lines within the value kept.  An empty ``[DEFAULT]`` is ignored.
+    """
+    sections: dict[str, dict[str, list[str]]] = {}
+    section = value = None
+    indent = 0
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                cut = line.find("#")
+                while cut > 0 and not line[cut - 1].isspace():
+                    cut = line.find("#", cut + 1)
+                text = (line if cut < 0 else line[:cut]).strip()
+                if not text:
+                    if cut < 0 and value is not None:
+                        value.append("")
+                    continue
+                depth = len(line) - len(line.lstrip())
+                if value is not None and depth > indent:
+                    value.append(text)
+                    continue
+                indent = depth
+                end = text.rfind("]")
+                if text[0] == "[" and end > 1:
+                    name, value = text[1:end], None
+                    if name in sections:
+                        raise ConfigError(f"{path}:{lineno}: section [{name}] repeated")
+                    section = {}  # stays empty for [DEFAULT], whose keys are rejected below
+                    if name != "DEFAULT":
+                        sections[name] = section
+                    continue
+                if section is None:
+                    raise ConfigError(f"{path}:{lineno}: no [section] header before this line")
+                match = _KEY_LINE.match(text)
+                if match is None:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value' or 'key: value'")
+                key = match[1].rstrip()
+                if not key:
+                    raise ConfigError(f"{path}:{lineno}: empty key")
+                if name == "DEFAULT":
+                    raise ConfigError(f"{path}:{lineno}: [DEFAULT] may hold no keys")
+                if key in section:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} repeated in [{name}]")
+                value = section[key] = [match[2].strip()]
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
+    return {
+        name: {key: "\n".join(parts).rstrip() for key, parts in keys.items()}
+        for name, keys in sections.items()
+    }
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read and validate one INI file, rejecting unknown sections and keys."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(
-        comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None, strict=True
-    )
-    parser.optionxform = str  # keys are case-sensitive
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
+    sections = _read_ini(path)
     source = str(path)
-    for section in parser.sections():
+    for section, keys in sections.items():
         if section not in _KEYS:
             raise ConfigError(f"{source}: unknown section [{section}]")
-        unknown = set(parser[section]) - set(_KEYS[section])
+        unknown = set(keys) - set(_KEYS[section])
         if unknown:
             raise ConfigError(
                 f"{source}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
     for section, keys in _REQUIRED.items():
-        if section not in parser:
+        if section not in sections:
             raise ConfigError(f"{source}: missing required section [{section}]")
-        missing = keys - set(parser[section])
+        missing = keys - set(sections[section])
         if missing:
             raise ConfigError(
                 f"{source}: missing key(s) in [{section}]: {', '.join(sorted(missing))}"
             )
 
     values = {
-        section: {
-            key: _convert(section, key, text, source)
-            for key, text in parser[section].items()
-        }
-        for section in parser.sections()
+        section: {key: _convert(section, key, text, source) for key, text in keys.items()}
+        for section, keys in sections.items()
     }
     drive = values["drive"]
     system = SystemParams.from_ghz_and_nm(**values["system"], **values.get("channels", {}))

@@ -15,9 +15,10 @@ floats in ``%.17g`` format (17 significant digits, so 0.1 is written
 bit-identical values.  A written file gets the permissions a plain
 ``open(path, "w")`` gives a new file, so they follow the umask.
 
-Reading accepts more: LF or CRLF line endings, blank and whitespace-only
-lines anywhere, and any cell ``float()`` reads, with spaces or tabs around
-it.  A malformed row is reported with its line number in the file, blank
+Reading accepts more: a leading UTF-8 byte-order mark, as spreadsheet
+"CSV UTF-8" exports write it, LF or CRLF line endings, blank and
+whitespace-only lines anywhere, and any cell ``float()`` reads, with spaces or
+tabs around it.  A malformed row is reported with its line number in the file, blank
 lines counted.
 """
 
@@ -106,14 +107,15 @@ def write_csv(dataset: SpectrumDataset, path: str | Path) -> None:
 def read_csv(path: str | Path) -> SpectrumDataset:
     """Parse a CSV written by :func:`write_csv` (or anything matching its shape).
 
-    Lines may end in LF or CRLF, blank and whitespace-only lines are skipped
-    anywhere, and a cell may be anything ``float()`` reads, with spaces or tabs
-    around it.  Every ``ValueError`` it raises names the file; one about a row
-    also names that row's line number in the file, blank lines counted.
+    The file may start with a UTF-8 byte-order mark, lines may end in LF or
+    CRLF, blank and whitespace-only lines are skipped anywhere, and a cell may
+    be anything ``float()`` reads, with spaces or tabs around it.  Every
+    ``ValueError`` it raises names the file; one about a row also names that
+    row's line number in the file, blank lines counted.
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text") from exc

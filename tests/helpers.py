@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the package's own code paths: widths
 come from direct half-maximum interpolation, gradients from central
-differences, density matrices from explicit outer products, and CSV columns
-from ``str.split`` and ``float()``, so tests compare the library against a
-second route rather than against itself.
+differences, density matrices from explicit outer products, CSV columns
+from ``str.split`` and ``float()``, and INI sections from the standard
+library's ``configparser``, so tests compare the library against a second
+route rather than against itself.
 """
 
 from __future__ import annotations
 
+import configparser
+import io
 import math
 
 import numpy as np
@@ -225,3 +228,23 @@ def csv_columns(text: str) -> tuple[str, list[float], list[float]]:
     header, *rows = [line.strip() for line in text.split("\n") if line.strip()]
     cells = [row.split(",") for row in rows]
     return header, [float(x) for x, _ in cells], [float(y) for _, y in cells]
+
+
+def ini_sections(text: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` of INI text as ``configparser`` reads it, or its error.
+
+    The parser is set as the package's config reader documents its grammar: ``#`` comments,
+    also inline after whitespace, no interpolation, strict duplicates and case-sensitive
+    keys.  Lines split as a text file's do, at LF, CRLF or CR.  Keys under ``[DEFAULT]``
+    come back as a ``"DEFAULT"`` section; with none it is left out.  A malformed text raises
+    ``configparser.Error``.
+    """
+    parser = configparser.ConfigParser(
+        comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None, strict=True
+    )
+    parser.optionxform = str
+    parser.read_file(io.StringIO(text, newline=None))
+    sections = {name: dict(parser.items(name, raw=True)) for name in parser.sections()}
+    if parser.defaults():
+        sections["DEFAULT"] = dict(parser.defaults())
+    return sections

@@ -604,6 +604,21 @@ class TestFitCommand:
         assert float(report["intercept"]) == pytest.approx(0.1, rel=1e-9)
 
 
+    def test_saturation_csv_with_a_byte_order_mark(self, tmp_path, capsys, monkeypatch):
+        # A spreadsheet's "CSV UTF-8" export starts the file with EF BB BF.
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
+        assert run_cli(capsys, ["reproduce", "--table", "table1"])[0] == 0
+        plain = tmp_path / "table1_S1_saturation.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = read_csv(plain), read_csv(marked)
+        assert got.header == want.header == "power_uw,intensity"
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert run_cli(capsys, ["fit", "saturation", str(marked)]) == run_cli(
+            capsys, ["fit", "saturation", str(plain)]
+        )
+
     def test_saturation_rejects_negative_powers(self, tmp_path, capsys):
         path = tmp_path / "sat.csv"
         path.write_text("power_uw,intensity\n-1,1.5\n0,0\n0.5,1\n2,2\n3,2.25\n7,2.625\n")
@@ -925,7 +940,8 @@ class TestModuleEntryPoint:
 
     def test_passing_commands_skip_the_eigensolver_and_masked_arrays(self, tmp_path):
         # A passing state is certified by a Cholesky factorisation, and the fits take no
-        # median or plain unique, whose first call imports numpy.ma (about 1.3 MiB).
+        # median or plain unique, whose first call imports numpy.ma (about 1.3 MiB).  Configs
+        # are read without configparser, whose parser costs more to build than to run.
         saturation = tmp_path / "table1_S1_saturation.csv"
         script = (
             "import sys\n"
@@ -938,6 +954,6 @@ class TestModuleEntryPoint:
             "codes.append(main(['power-sweep', '--config', 'configs/example.ini']))\n"
             "codes.append(main(['reproduce', '--table', 'table1']))\n"
             f"codes.append(main(['fit', 'saturation', {str(saturation)!r}]))\n"
-            "print(codes, scans, 'numpy.ma' in sys.modules)\n"
+            "print(codes, scans, 'numpy.ma' in sys.modules, 'configparser' in sys.modules)\n"
         )
-        assert self.last_line(script, tmp_path) == "[0, 0, 0, 0] 0 False"
+        assert self.last_line(script, tmp_path) == "[0, 0, 0, 0] 0 False False"

@@ -1,12 +1,18 @@
 """Strict INI parsing: accepted shapes, named rejections, derived helpers."""
 
+import configparser
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import ini_sections
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cqed_scope.config import OUTPUT_ENV_VAR, _KEYS, parse_config
+from cqed_scope.cli import main
+from cqed_scope.config import OUTPUT_ENV_VAR, _KEYS, _read_ini, parse_config
 from cqed_scope.errors import ConfigError
 from cqed_scope.model import (
     DriveTarget,
@@ -148,6 +154,13 @@ class TestDefaults:
         cfg = parse_config(write_config(tmp_path, BASE.replace("target = qd", "target = QD")))
         assert cfg.drive_target is DriveTarget.QD
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Windows editors and spreadsheet exports may start a UTF-8 file with EF BB BF.
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + (CONFIG_DIR / "example.ini").read_bytes())
+        plain = parse_config(CONFIG_DIR / "example.ini")
+        assert replace(parse_config(path), source="") == replace(plain, source="")
+
     def test_text_value_on_a_continuation_line_is_stripped(self, tmp_path):
         text = BASE.replace("target = qd", "target =\n    cavity") + "\n[output]\nstem =\n    run\n"
         cfg = parse_config(write_config(tmp_path, text))
@@ -184,10 +197,43 @@ class TestRejections:
         with pytest.raises(ConfigError, match=r"missing required section \[drive\]"):
             parse_config(write_config(tmp_path, text))
 
-    def test_duplicate_key_rejected(self, tmp_path):
-        text = BASE.replace("g_ghz = 10.0", "g_ghz = 10.0\ng_ghz = 11.0")
-        with pytest.raises(ConfigError, match="g_ghz"):
-            parse_config(write_config(tmp_path, text))
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            (
+                BASE.replace("g_ghz = 10.0", "g_ghz = 10.0\ng_ghz = 11.0"),
+                5,
+                "key 'g_ghz' repeated in [system]",
+            ),
+            (BASE + "\n[system]\n", 12, "section [system] repeated"),
+            (
+                BASE.replace("rabi_ghz = 1.0", "rabi_ghz 1.0"),
+                10,
+                "expected 'key = value' or 'key: value'",
+            ),
+            ("# run\nseed = 3\n" + BASE, 2, "no [section] header before this line"),
+            ("[DEFAULT]\n\n[DEFAULT]\nseed = 3\n" + BASE, 4, "[DEFAULT] may hold no keys"),
+        ],
+        ids=["repeated-key", "repeated-section", "no-delimiter", "key-before-section", "default"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, capsys, text, line, reason):
+        # A malformed line exits 2 with one line naming the file and the line, as CSV rows do.
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as caught:
+            parse_config(path)
+        assert str(caught.value) == f"{path}:{line}: {reason}"
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+    def test_directory_is_not_a_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="config file not found"):
+            parse_config(tmp_path)
+
+    def test_non_utf8_config_named(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(BASE.replace("qd", "qd \xb5").encode("latin-1"))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not UTF-8 text$"):
+            parse_config(path)
 
     def test_rabi_and_power_style_conflict(self, tmp_path):
         text = BASE + "alpha_per_uw = 0.5\n"
@@ -519,3 +565,77 @@ def test_every_accepted_key_takes_effect(tmp_path, key):
 
 def test_key_cases_cover_the_key_table():
     assert set(KEY_CASES) == {key for keys in _KEYS.values() for key in keys}
+
+
+# Pieces of INI text chosen to meet each rule of the grammar: repeated and [DEFAULT]
+# sections, headers with trailing text, both delimiters, '#' after a space, a tab and a
+# letter, form feeds that str.splitlines would split at, and values that look like headers
+# or key lines.
+_SPACE = st.sampled_from(["", " ", "\t", " \x0c"])
+_NAME = st.sampled_from(["a", "b", "a b", "DEFAULT"])
+_KEY_NAME = st.sampled_from(["k", "K", "k two", "[k", "x", "y_z"])
+_TEXT = st.sampled_from(["", "1", "run#1", "x\x0cy", "[s]", "p = q", "r: t", " v "])
+_COMMENT = st.sampled_from(["", " # note", "\t# note", "#note", " #"])
+
+
+@st.composite
+def _ini_line(draw):
+    lead = draw(_SPACE)
+    kind = draw(
+        st.sampled_from(
+            ["header"] * 2 + ["key"] * 5 + ["continuation"] * 3 + ["comment"] + ["blank"] * 2
+            + ["malformed"]
+        )
+    )
+    if kind == "header":
+        trail = draw(st.sampled_from(["", "junk", " # c", "]", "=1"]))
+        return f"{lead}[{draw(_NAME)}]{trail}"
+    if kind == "key":
+        delimiter = draw(st.sampled_from(["=", ":", " = ", " : ", "=\t"]))
+        return f"{lead}{draw(_KEY_NAME)}{delimiter}{draw(_TEXT)}{draw(_COMMENT)}"
+    if kind == "continuation":
+        indent = draw(st.sampled_from(["  ", "\t", "    ", " \x0c "]))
+        return f"{lead}{indent}{draw(_TEXT)}{draw(_COMMENT)}"
+    if kind == "comment":
+        return f"{lead}#{draw(_TEXT)}"
+    if kind == "blank":
+        return lead
+    return lead + draw(st.sampled_from(["no delimiter", "= empty key", ": x", "[]"]))
+
+
+@st.composite
+def _ini_text(draw):
+    """``(text, bom)``: INI text with LF or CRLF endings, usually opening with a header, and
+    whether a byte-order mark leads the file."""
+    lines = draw(st.lists(_ini_line(), max_size=10))
+    if draw(st.integers(0, 7)):
+        lines.insert(0, f"[{draw(_NAME)}]")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def ini_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ini") / "run.ini"
+
+
+@settings(max_examples=250)
+@given(ini=_ini_text())
+def test_reader_matches_configparser(ini_path, ini):
+    """The reader returns configparser's sections, and raises where it raises.
+
+    Keys under [DEFAULT] are the one departure: configparser copies them into every
+    section, and the reader rejects them.
+    """
+    text, bom = ini
+    try:
+        expected = ini_sections(text)
+    except configparser.Error:
+        expected = None
+    ini_path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    if expected is None or "DEFAULT" in expected:
+        with pytest.raises(ConfigError, match=rf"\A{re.escape(str(ini_path))}:\d+: [^\n]+\Z"):
+            _read_ini(ini_path)
+    else:
+        assert _read_ini(ini_path) == expected
