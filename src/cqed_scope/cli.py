@@ -118,6 +118,8 @@ def cmd_analytic(args: argparse.Namespace) -> None:
             powers = []
         for power in powers:
             _emit(f"fwhm_at_{power:g}uw_ghz", angular_to_ghz(combined_linewidth(model, power)))
+    if system.transfer_qd_to_cavity or system.transfer_cavity_to_qd:
+        _emit("note", "closed forms leave out the [channels] transfer rates")
 
 
 def cmd_scan(args: argparse.Namespace) -> None:
@@ -205,16 +207,22 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
                     f"{cfg.source}: [reproduce] for table2 needs a drive power grid; "
                     "set power_min_uw/power_max_uw/power_points"
                 )
+    # Every output directory is made before any row runs too, so one that cannot be made
+    # leaves no partial output.  dict.fromkeys keeps config order, which a set would not,
+    # so the error names the same directory on every run.
+    directories = {name: cfg.resolve_output_dir() for name, cfg in configs.items()}
+    for directory in dict.fromkeys(directories.values()):
+        directory.mkdir(parents=True, exist_ok=True)
     for name, cfg in configs.items():
         rep = cfg.reproduce
         label = rep.label or name
         if table == "table1":
-            _reproduce_linewidth_row(cfg, rep, label)
+            _reproduce_linewidth_row(cfg, rep, label, directories[name])
         else:
-            _reproduce_excess_row(cfg, rep, label)
+            _reproduce_excess_row(cfg, rep, label, directories[name])
 
 
-def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
+def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str, directory: Path) -> None:
     alpha = cfg.alpha_per_uw
     saturation = _maybe_noisy(
         cfg, saturation_curve(saturation_power_grid(alpha), rep.i_sat_counts, alpha)
@@ -223,8 +231,6 @@ def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
         chained_fit_power_grid(alpha), rep.delta_omega_c_ghz, rep.delta_omega_0_ghz, alpha
     )
     linewidths = _maybe_noisy(cfg, curve, seed_offset=1)
-    directory = cfg.resolve_output_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     write_csv(saturation, directory / f"table1_{label}_saturation.csv")
     write_csv(linewidths, directory / f"table1_{label}_linewidths.csv")
 
@@ -244,12 +250,10 @@ def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str) -> None:
         _emit(f"{label}.reference_theory_ghz", rep.reference_theory_ghz)
 
 
-def _reproduce_excess_row(cfg: RunConfig, rep, label: str) -> None:
+def _reproduce_excess_row(cfg: RunConfig, rep, label: str, directory: Path) -> None:
     linewidths = _maybe_noisy(
         cfg, excess_curve(cfg.powers(), rep.intrinsic_fwhm_ghz, rep.excess_slope_ghz_per_uw)
     )
-    directory = cfg.resolve_output_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     write_csv(linewidths, directory / f"table2_{label}_linewidths.csv")
     result = excess_slope_fit(linewidths, rep.intrinsic_fwhm_ghz)
     _emit(f"{label}.intrinsic_fwhm_ghz", rep.intrinsic_fwhm_ghz)

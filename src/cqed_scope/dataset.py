@@ -93,8 +93,11 @@ def write_csv(dataset: SpectrumDataset, path: str | Path) -> None:
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp_name, flags, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        # One UTF-8 payload, LF as formatted, through a binary file, which writes all of it
+        # across short writes and closes the descriptor: a text-mode wrapper cost more to
+        # build than the write itself.
+        with open(fd, "wb") as fh:
+            fh.write(payload.encode())
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import log_grid
 from .dataset import ScanKind, SpectrumDataset
 from .fit import (
     FitResult,
@@ -146,7 +147,7 @@ def chained_fit_power_grid(alpha_per_uw: float) -> np.ndarray:
     """
     if not alpha_per_uw > 0.0:
         raise ValueError("alpha_per_uw must be > 0")
-    knee = np.geomspace(0.01 / alpha_per_uw, 5.0 / alpha_per_uw, KNEE_POINTS)
+    knee = log_grid(0.01 / alpha_per_uw, 5.0 / alpha_per_uw, KNEE_POINTS)
     root = np.linspace(np.sqrt(6.0), np.sqrt(1.0 + P_TILDE_MAX), LEVER_POINTS)
     lever = (root**2 - 1.0) / alpha_per_uw
     # Sort and drop repeats by hand: np.unique imports numpy.ma (about 1.6 MiB) on its first call.
@@ -163,4 +164,4 @@ def saturation_power_grid(alpha_per_uw: float) -> np.ndarray:
     """
     if not alpha_per_uw > 0.0:
         raise ValueError("alpha_per_uw must be > 0")
-    return np.geomspace(0.01 / alpha_per_uw, 200.0 / alpha_per_uw, SATURATION_POINTS)
+    return log_grid(0.01 / alpha_per_uw, 200.0 / alpha_per_uw, SATURATION_POINTS)

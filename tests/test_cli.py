@@ -102,6 +102,24 @@ class TestAnalyticCommand:
             np.sqrt(3.0), rel=1e-9
         )
 
+    @pytest.mark.parametrize("key", ["transfer_qd_to_cavity_ghz", "transfer_cavity_to_qd_ghz"])
+    def test_transfer_rates_are_noted_as_left_out(self, tmp_path, capsys, key):
+        # The closed forms have no term for the one-way transfer channels, so a report on a
+        # config that sets one says so; without one the report is unchanged.
+        base = (CONFIG_DIR / "example.ini").read_text()
+        rc, plain, captured = run_cli(
+            capsys, ["analytic", "--config", str(write_ini(tmp_path, base, "plain.ini"))]
+        )
+        assert rc == 0
+        assert "note" not in plain
+        text = base + f"\n[channels]\n{key} = 50\n"
+        rc, report, noted = run_cli(
+            capsys, ["analytic", "--config", str(write_ini(tmp_path, text, "transfer.ini"))]
+        )
+        assert rc == 0
+        note = "note = closed forms leave out the [channels] transfer rates\n"
+        assert noted.out == captured.out + note
+
 
 class TestExitCodes:
     def test_unknown_key_names_typo(self, tmp_path, capsys):
@@ -399,6 +417,45 @@ class TestExitCodes:
         rc, _, captured = run_cli(capsys, ["reproduce", "--table", "table2"])
         assert rc == 2
         assert "afile" in captured.err
+
+    @staticmethod
+    def table1_into(tmp_path, directories):
+        """A copy of the table1 configs whose rows write to ``directories``, in row order."""
+        config_dir = tmp_path / "table1"
+        shutil.copytree(CONFIG_DIR / "table1", config_dir)
+        for name, directory in zip(("S1", "S2", "S3"), directories):
+            path = config_dir / f"{name}.ini"
+            path.write_text(path.read_text().replace("directory = out", f"directory = {directory}"))
+        return config_dir
+
+    def test_reproduce_makes_every_directory_before_writing(self, tmp_path, capsys, monkeypatch):
+        # The second row's directory cannot be made; the first row's CSVs must not be written.
+        config_dir = self.table1_into(tmp_path, ["good", "blocker/sub", "good"])
+        (tmp_path / "blocker").write_text("")
+        monkeypatch.delenv(OUTPUT_ENV_VAR, raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc, _, captured = run_cli(
+            capsys, ["reproduce", "--table", "table1", "--config-dir", str(config_dir)]
+        )
+        assert rc == 2
+        assert "blocker/sub" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_reproduce_writes_each_row_into_its_own_directory(self, tmp_path, capsys, monkeypatch):
+        config_dir = self.table1_into(tmp_path, ["first", "second/nested", "first"])
+        monkeypatch.delenv(OUTPUT_ENV_VAR, raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc, _, captured = run_cli(
+            capsys, ["reproduce", "--table", "table1", "--config-dir", str(config_dir)]
+        )
+        assert rc == 0, captured.err
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
+        assert written == [
+            f"{directory}/table1_{label}_{kind}.csv"
+            for directory, label in (("first", "S1"), ("first", "S3"), ("second/nested", "S2"))
+            for kind in ("linewidths", "saturation")
+        ]
 
     @pytest.mark.parametrize(
         "model, y_unit, expected",
@@ -941,7 +998,9 @@ class TestModuleEntryPoint:
     def test_passing_commands_skip_the_eigensolver_and_masked_arrays(self, tmp_path):
         # A passing state is certified by a Cholesky factorisation, and the fits take no
         # median or plain unique, whose first call imports numpy.ma (about 1.3 MiB).  Configs
-        # are read without configparser, whose parser costs more to build than to run.
+        # are read without configparser, whose parser costs more to build than to run.  Only
+        # noise needs numpy.random, whose import loads OpenSSL (about 6 MiB): example.ini
+        # sets none, and reproduce's configs do.
         saturation = tmp_path / "table1_S1_saturation.csv"
         script = (
             "import sys\n"
@@ -952,8 +1011,10 @@ class TestModuleEntryPoint:
             "codes = [main(['scan', '--config', 'configs/example.ini'])]\n"
             "scans = len(calls)\n"
             "codes.append(main(['power-sweep', '--config', 'configs/example.ini']))\n"
+            "noise_free = 'numpy.random' in sys.modules\n"
             "codes.append(main(['reproduce', '--table', 'table1']))\n"
             f"codes.append(main(['fit', 'saturation', {str(saturation)!r}]))\n"
-            "print(codes, scans, 'numpy.ma' in sys.modules, 'configparser' in sys.modules)\n"
+            "print(codes, scans, 'numpy.ma' in sys.modules, 'configparser' in sys.modules,\n"
+            "      noise_free)\n"
         )
-        assert self.last_line(script, tmp_path) == "[0, 0, 0, 0] 0 False False"
+        assert self.last_line(script, tmp_path) == "[0, 0, 0, 0] 0 False False False"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqed_scope.cli import main
-from cqed_scope.config import OUTPUT_ENV_VAR, _KEYS, _read_ini, parse_config
+from cqed_scope.config import OUTPUT_ENV_VAR, _KEYS, _read_ini, log_grid, parse_config
 from cqed_scope.errors import ConfigError
 from cqed_scope.model import (
     DriveTarget,
@@ -639,3 +639,10 @@ def test_reader_matches_configparser(ini_path, ini):
             _read_ini(ini_path)
     else:
         assert _read_ini(ini_path) == expected
+
+
+@settings(max_examples=500)
+@given(lo=st.floats(1e-6, 1e4), decades=st.floats(1e-3, 8.0), points=st.integers(2, 500))
+def test_log_grid_is_geomspace_bit_for_bit(lo, decades, points):
+    hi = lo * 10.0**decades
+    assert log_grid(lo, hi, points).tobytes() == np.geomspace(lo, hi, points).tobytes()

@@ -1,5 +1,7 @@
 """Dataset container validation and CSV round-tripping."""
 
+import errno
+import io
 import math
 import os
 import stat
@@ -13,6 +15,7 @@ from helpers import csv_columns
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cqed_scope import dataset as dataset_module
 from cqed_scope.dataset import ScanKind, SpectrumDataset, read_csv, write_csv
 
 # Any finite double, with the edges of the range drawn often: zeros of both signs,
@@ -218,6 +221,46 @@ class TestCsvRoundTrip:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    @staticmethod
+    def short_writes(monkeypatch, fail_after=None):
+        """Make write_csv's file take at most 7 bytes a write and, after ``fail_after``
+        writes, fail as a full disk does.  Returns the list of writes attempted."""
+        calls = []
+
+        class Raw(io.FileIO):
+            def write(self, data):
+                calls.append(len(data))
+                if fail_after is not None and len(calls) > fail_after:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data[:7])
+
+        def opened(fd, mode):
+            return io.BufferedWriter(Raw(fd, mode))
+
+        monkeypatch.setattr(dataset_module, "open", opened, raising=False)
+        return calls
+
+    def test_short_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
+        ds = _scan([930.0, 930.1, 934.8], [0.0, 0.1 + 0.2, 123456.789])
+        whole = tmp_path / "whole.csv"
+        write_csv(ds, whole)
+        calls = self.short_writes(monkeypatch)
+        write_csv(ds, tmp_path / "chunked.csv")
+        assert len(calls) > 1
+        assert (tmp_path / "chunked.csv").read_bytes() == whole.read_bytes()
+
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scan.csv"
+        write_csv(_scan([1.0, 2.0], [0.0, 1.0]), path)
+        before = path.read_bytes()
+        calls = self.short_writes(monkeypatch, fail_after=1)
+        with pytest.raises(OSError) as caught:
+            write_csv(_scan([5.0, 6.0, 7.0], [1.0, 2.0, 3.0]), path)
+        assert caught.value.errno == errno.ENOSPC
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
     def test_power_sweep_kinds_survive_round_trip(self, tmp_path):
         for y_unit in ("intensity", "fwhm_ghz"):
