@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -186,7 +187,9 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
         raise ConfigError(f"missing config file(s): {', '.join(missing)}")
     # Every config is checked before any row runs, so a bad one leaves no partial output.
     configs = {name: parse_config(path) for name, path in paths.items()}
-    for cfg in configs.values():
+    rows: dict[str, tuple[Path, str]] = {}
+    claimed: dict[str, str] = {}
+    for name, cfg in configs.items():
         rep = cfg.reproduce
         if rep is None:
             raise ConfigError(f"{cfg.source}: missing [reproduce] section")
@@ -207,19 +210,25 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
                     f"{cfg.source}: [reproduce] for table2 needs a drive power grid; "
                     "set power_min_uw/power_max_uw/power_points"
                 )
+        # A row writes <directory>/<table>_<label>_<kind>.csv, so its label must name a file of
+        # that directory, and one that no earlier row writes.
+        directory, label = cfg.resolve_output_dir(), rep.label or name
+        if os.sep in label or os.altsep and os.altsep in label:
+            raise ConfigError(f"{cfg.source}: [reproduce] label {label!r} holds a path separator")
+        stem = os.path.abspath(directory / f"{table}_{label}")
+        if stem in claimed:
+            raise ConfigError(
+                f"{cfg.source}: [reproduce] label {label!r} writes over the CSVs of {claimed[stem]}"
+            )
+        claimed[stem], rows[name] = cfg.source, (directory, label)
     # Every output directory is made before any row runs too, so one that cannot be made
     # leaves no partial output.  dict.fromkeys keeps config order, which a set would not,
     # so the error names the same directory on every run.
-    directories = {name: cfg.resolve_output_dir() for name, cfg in configs.items()}
-    for directory in dict.fromkeys(directories.values()):
+    for directory in dict.fromkeys(directory for directory, _ in rows.values()):
         directory.mkdir(parents=True, exist_ok=True)
-    for name, cfg in configs.items():
-        rep = cfg.reproduce
-        label = rep.label or name
-        if table == "table1":
-            _reproduce_linewidth_row(cfg, rep, label, directories[name])
-        else:
-            _reproduce_excess_row(cfg, rep, label, directories[name])
+    row = _reproduce_linewidth_row if table == "table1" else _reproduce_excess_row
+    for name, (directory, label) in rows.items():
+        row(configs[name], configs[name].reproduce, label, directory)
 
 
 def _reproduce_linewidth_row(cfg: RunConfig, rep, label: str, directory: Path) -> None:

@@ -21,7 +21,7 @@ complex array for callers that want one.
 Steady states come from one routine, :func:`solve_stack`: a block elimination over the
 ``2 * n_max + 3`` sectors of equal excitation difference ``m = N_i - N_j``, in which the generator
 is block tridiagonal.  ``N = qd + n`` comes from the basis as exact integers
-(:func:`~cqed_scope.hilbert.basis_numbers`), which the Hamiltonian and the read-out share.  The
+(:func:`~cqed_scope.hilbert.basis_numbers`), which the Hamiltonian and the occupations share.  The
 generator maps ``rho^+`` to ``(L rho)^+``, so only the ``m >= 0`` half is solved and
 ``rho_{-m} = rho_m^+``.  A scan gathers its blocks once from the list and gets every point's
 state from one call, which batches internally (:func:`laser_scan_steady_states`); a scan's cutoff
@@ -191,30 +191,16 @@ class SteadyState:
     observables: dict[str, float | complex]
 
 
-def _readout(n_max: int) -> np.ndarray:
-    """Read-out ``a^+a = diag(n), sigma^+sigma = diag(qd), a, sigma``, a ``(4, dim, dim)`` stack."""
-    sm, a = _ladder(n_max)
-    qd, n = basis_numbers(n_max)
-    return np.stack([np.diag(n), np.diag(qd), a, sm])
+def _populations(rhos: np.ndarray) -> np.ndarray:
+    """Occupations ``<a^+a>, <sigma^+sigma>``, ``(k, 2)`` real, of a stack of states.
 
-
-def _read(rhos: np.ndarray, readout: np.ndarray) -> np.ndarray:
-    """Expectations ``tr(O rho)``, ``(k, 4)``, of a stack of states, from each ``O``'s non-zeros.
-
-    Each read-out operator must have at most one non-zero per row, as those of
-    :func:`_readout` do, so that ``tr(O rho)`` is the sum over rows ``i`` of
-    ``O[i, j] * rho[j, i]``.  Those terms are gathered into a ``(k, dim)`` array, zero for an
-    empty row, and summed along its rows: the same bits as ``np.trace(O @ rho)``, without a
-    ``dim x dim`` product per state.  Each state's sum is its own, so a state reads the same bits
-    in whichever stack it sits.
+    Each is the basis' integer numbers ``n`` or ``qd`` weighting a state's diagonal.  The weighted
+    diagonal is summed as complex, then its real part taken: a real sum pairs the terms
+    differently, so from cutoff 3 up it would move the last bits.  Each state's sum is its own, so
+    a state reads the same bits in whichever stack it sits.
     """
-    reading = np.empty((rhos.shape[0], len(readout)), dtype=np.complex128)
-    for o, op in enumerate(readout):
-        rows, cols = np.nonzero(op)
-        terms = np.zeros(rhos.shape[:2], dtype=np.complex128)
-        terms[:, rows] = op[rows, cols] * rhos[:, cols, rows]
-        reading[:, o] = terms.sum(axis=1)
-    return reading
+    qd, n = basis_numbers(rhos.shape[1] // 2 - 1)
+    return (rhos.diagonal(axis1=1, axis2=2)[:, None, :] * np.stack([n, qd])).sum(axis=2).real
 
 
 def _solve_batch(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -425,14 +411,16 @@ def steady_state(liouvillian: Entries | np.ndarray) -> SteadyState:
     guard holds the state to :data:`STEADY_RESIDUAL_TOL`; the generator is left untouched.
     """
     rhos, residuals = solve_stack(_listed(liouvillian), np.zeros(1))
-    n_cavity, n_qd, a, sigma = _read(rhos, _readout(rhos.shape[1] // 2 - 1))[0]
+    rho = rhos[0]
+    sm, a = _ladder(rho.shape[0] // 2 - 1)
+    n_cavity, n_qd = _populations(rhos)[0]
     observables = {
-        "n_cavity": float(n_cavity.real),
-        "n_qd": float(n_qd.real),
-        "a": complex(a),
-        "sigma": complex(sigma),
+        "n_cavity": float(n_cavity),
+        "n_qd": float(n_qd),
+        "a": complex(np.trace(a @ rho)),
+        "sigma": complex(np.trace(sm @ rho)),
     }
-    return SteadyState(rho=rhos[0], residual=float(residuals[0]), observables=observables)
+    return SteadyState(rho=rho, residual=float(residuals[0]), observables=observables)
 
 
 def laser_scan_steady_states(
@@ -441,13 +429,13 @@ def laser_scan_steady_states(
     n_max: int,
     laser_omegas: list[float],
 ) -> np.ndarray:
-    """Steady-state read-out ``(len(laser_omegas), 4)`` at each laser frequency.
+    """Steady-state occupations ``(len(laser_omegas), 2)`` at each laser frequency.
 
-    Row ``j`` holds ``<a^+a>, <sigma^+sigma>, <a>, <sigma>`` at ``laser_omegas[j]``.  The generator
-    is listed once, at the middle frequency: in the laser frame ``omega_l`` enters only as
-    ``-omega_l N``, with ``N`` the basis' integer excitation numbers, so each point is the shift by
-    its distance from there (a nearby reference keeps digits).  The middle row equals the read-out
-    of a fresh :func:`steady_state` at its frequency bit for bit, so a one-point call at a larger
+    Row ``j`` holds ``<a^+a>, <sigma^+sigma>`` at ``laser_omegas[j]``.  The generator is listed
+    once, at the middle frequency: in the laser frame ``omega_l`` enters only as ``-omega_l N``,
+    with ``N`` the basis' integer excitation numbers, so each point is the shift by its distance
+    from there (a nearby reference keeps digits).  The middle row equals the occupations of a
+    fresh :func:`steady_state` at its frequency bit for bit, so a one-point call at a larger
     cutoff is a scan's cutoff probe.  A failing point raises the error of :func:`solve_stack` with
     ``index`` its position in ``laser_omegas``.
     """
@@ -455,7 +443,7 @@ def laser_scan_steady_states(
     generator = _generator(params, drive.with_laser_frequency(omega_ref), n_max)
     offsets = np.asarray(laser_omegas, dtype=float) - omega_ref
     rhos, _ = solve_stack(generator, offsets)
-    return _read(rhos, _readout(n_max))
+    return _populations(rhos)
 
 
 def truncation_check(params: SystemParams, drive: DriveSpec, n_max: int) -> tuple[bool, float]:
@@ -470,12 +458,12 @@ def truncation_check(params: SystemParams, drive: DriveSpec, n_max: int) -> tupl
 
 
 def truncation_change(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Worst relative change in ``<a^+a>`` and ``<sigma^+sigma>`` of each read-out row.
+    """Worst relative change in ``<a^+a>`` and ``<sigma^+sigma>`` of each row.
 
-    ``lower`` and ``upper`` are ``(k, >= 2)`` rows that lead with those occupations, such as the
-    read-out of :func:`laser_scan_steady_states`, at a cutoff and a larger one.  Each change is
-    relative to the larger occupation with an absolute floor of 1e-6, so that empty-cavity
-    round-off does not register as disagreement.
+    ``lower`` and ``upper`` are ``(k, 2)`` real rows of those occupations, such as the output of
+    :func:`laser_scan_steady_states`, at a cutoff and a larger one.  Each change is relative to
+    the larger occupation with an absolute floor of 1e-6, so that empty-cavity round-off does not
+    register as disagreement.
     """
-    lo, hi = np.asarray(lower)[:, :2].real, np.asarray(upper)[:, :2].real
+    lo, hi = np.asarray(lower), np.asarray(upper)
     return (np.abs(lo - hi) / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-6)).max(axis=1)

@@ -72,7 +72,7 @@ def scan_laser(
         Which decay channel feeds the detector.
     n_max
         Fock cutoff; unless ``check_truncation`` is disabled, the middle point's
-        read-out is compared after the scan with the same call at ``n_max + 2``
+        occupations are compared after the scan with the same call at ``n_max + 2``
         over that one point (:func:`~cqed_scope.lindblad.truncation_change`).
     """
     grid = np.asarray(wavelengths_nm, dtype=float)
@@ -96,7 +96,7 @@ def scan_laser(
     except NumericalError as exc:
         lam = grid[exc.index]
         raise ScanError(f"steady state failed at {lam:.6f} nm: {exc}") from exc
-    signal = 2.0 * rate * readings[:, column].real
+    signal = 2.0 * rate * readings[:, column]
     negative = np.flatnonzero(signal < -1e-12)
     if negative.size:
         j = negative[0]

@@ -86,6 +86,11 @@ def ground_state_density(n_max: int) -> np.ndarray:
     return basis_projector(2 * (n_max + 1), 0)
 
 
+def basis_integers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(qd, n)`` of each basis state ``|qd, n>``, photons fastest, as exact integers."""
+    return np.repeat([0, 1], n_max + 1), np.tile(np.arange(n_max + 1), 2)
+
+
 def expectations(rhos: np.ndarray, operators: np.ndarray) -> np.ndarray:
     """``tr(O rho)``, ``(k, len(operators))``, each from one dense ``O @ rho`` product."""
     return np.array([[np.trace(op @ rho) for op in operators] for rho in rhos])

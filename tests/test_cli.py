@@ -458,6 +458,35 @@ class TestExitCodes:
         ]
 
     @pytest.mark.parametrize(
+        "name, label, fault",
+        [
+            ("S3", "S3/x", "[reproduce] label 'S3/x' holds a path separator"),
+            ("S2", "S1", "[reproduce] label 'S1' writes over the CSVs of {S1}"),
+        ],
+        ids=["separator", "shared"],
+    )
+    def test_reproduce_rejects_a_label_before_any_row_runs(
+        self, tmp_path, capsys, monkeypatch, name, label, fault
+    ):
+        # A row writes <directory>/table1_<label>_<kind>.csv, so its label must name a file of
+        # that directory, and one no earlier row writes.
+        config_dir = tmp_path / "table1"
+        shutil.copytree(CONFIG_DIR / "table1", config_dir)
+        path = config_dir / f"{name}.ini"
+        text, count = re.subn(r"^label = .*$", f"label = {label}", path.read_text(), flags=re.M)
+        assert count == 1
+        path.write_text(text)
+        monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "out"))
+        rc, _, captured = run_cli(
+            capsys, ["reproduce", "--table", "table1", "--config-dir", str(config_dir)]
+        )
+        assert rc == 2
+        assert f"{path}: {fault.format(S1=config_dir / 'S1.ini')}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize(
         "model, y_unit, expected",
         [
             ("lorentzian", "intensity", "wavelength_nm,intensity"),

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqed_scope import lindblad
+from cqed_scope.config import _KEYS
 from cqed_scope.errors import NonUniqueSteadyStateError, NumericalError
 from cqed_scope.hilbert import (
     annihilation,
@@ -21,6 +22,7 @@ from cqed_scope.lindblad import (
     assemble_liouvillian,
     build_hamiltonian,
     build_liouvillian,
+    laser_scan_steady_states,
     solve_stack,
     steady_state,
     truncation_check,
@@ -28,6 +30,7 @@ from cqed_scope.lindblad import (
 from cqed_scope.model import TWO_PI, DriveSpec, DriveTarget, SystemParams
 
 from helpers import (
+    basis_integers,
     basis_projector,
     expectations,
     ground_state_density,
@@ -244,11 +247,6 @@ class TestBuildLiouvillian:
         assert np.all(values != 0.0)
         dense = build_liouvillian(ham, params)
         assert np.array_equal(dense.view(np.uint64), scattered.view(np.uint64))
-
-
-def basis_integers(n_max):
-    """``(qd, n)`` of each basis state ``|qd, n>``, photons fastest, as exact integers."""
-    return np.repeat([0, 1], n_max + 1), np.tile(np.arange(n_max + 1), 2)
 
 
 def excitations(n_max):
@@ -502,35 +500,95 @@ def random_hermitian_stack(seed, k, dim):
     return 0.5 * (mat + mat.conj().transpose(0, 2, 1))
 
 
-class TestRead:
-    @pytest.mark.parametrize("n_max", [1, 3, 13])
-    def test_number_operators_are_the_integer_excitation_numbers(self, n_max):
-        qd, n = basis_integers(n_max)
-        readout = lindblad._readout(n_max)
-        assert np.array_equal(readout[0], np.diag(n))
-        assert np.array_equal(readout[1], np.diag(qd))
-
+class TestPopulations:
     @settings(max_examples=60)
     @given(n_max=st.integers(1, 15), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_read_matches_dense_traces_bit_for_bit(self, n_max, k, seed):
-        readout = lindblad._readout(n_max)
-        rhos = random_hermitian_stack(seed, k, readout.shape[1])
-        reading = lindblad._read(rhos, readout)
-        assert reading.tobytes() == expectations(rhos, readout).tobytes()
+    def test_populations_match_dense_traces_bit_for_bit(self, n_max, k, seed):
+        # The weights are the basis' integer numbers: a number operator assembled as a^+ a holds
+        # sqrt(n)**2, which misses n = 3 by an ulp.
+        qd, n = basis_integers(n_max)
+        rhos = random_hermitian_stack(seed, k, qd.size)
+        populations = lindblad._populations(rhos)
+        traces = expectations(rhos, [np.diag(n), np.diag(qd)]).real
+        assert populations.shape == traces.shape == (k, 2)
+        assert populations.tobytes() == traces.tobytes()
         for j in range(k):
-            assert lindblad._read(rhos[j : j + 1], readout).tobytes() == reading[j].tobytes()
+            assert lindblad._populations(rhos[j : j + 1]).tobytes() == populations[j].tobytes()
 
-    def test_read_allocates_less_than_the_stack_it_reads(self):
-        # Four dense O @ rho products would allocate four times the stack.
-        readout = lindblad._readout(13)
-        rhos = random_hermitian_stack(0, 61, readout.shape[1])
+    def test_populations_allocate_less_than_the_stack_they_read(self):
+        # Two batched O @ rho products, one per number, would allocate twice the stack.
+        rhos = random_hermitian_stack(0, 61, 28)
         tracemalloc.start()
         try:
-            lindblad._read(rhos, readout)
+            lindblad._populations(rhos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < rhos.nbytes
+
+
+def ghz(section, key, lo, hi):
+    """Values in ``[lo, hi]`` GHz that the range ``config._KEYS`` declares for the key accepts."""
+    accepts = _KEYS[section][key][1][0]
+    return st.floats(lo, hi).filter(accepts)
+
+
+def relative_change(a, b):
+    """Worst change between occupations, relative to the larger with an absolute floor of 1e-6."""
+    return float((np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)).max())
+
+
+SCAN_SYSTEMS = dict(
+    g=ghz("system", "g_ghz", 0.0, 20.0),
+    kappa=ghz("system", "kappa_ghz", 0.5, 30.0),
+    gamma=ghz("system", "gamma_ghz", 0.1, 2.0),
+    gamma_d=ghz("system", "gamma_d_ghz", 0.0, 3.0),
+    to_cavity=ghz("channels", "transfer_qd_to_cavity_ghz", 0.0, 2.0),
+    to_qd=ghz("channels", "transfer_cavity_to_qd_ghz", 0.0, 2.0),
+    rabi=ghz("drive", "rabi_ghz", 0.0, 20.0),
+    delta=st.floats(-100.0, 100.0),
+    centre=st.floats(-100.0, 100.0),
+    span=st.floats(1.0, 200.0),
+    points=st.integers(1, 9),
+    n_max=st.integers(1, 6),
+    target=st.sampled_from(DriveTarget),
+)
+
+
+def scan_twin(g, kappa, gamma, gamma_d, to_cavity, to_qd, rabi, delta, centre, span, points,
+              n_max, target, scale=1.0, sign=1.0):
+    """Occupations of a scan in the frame of the cavity, ``omega_c = 0``, every frequency and
+    rate (GHz) times ``scale`` and every detuning and laser frequency times ``sign``."""
+    params = SystemParams(
+        g=TWO_PI * scale * g, kappa=TWO_PI * scale * kappa, gamma=TWO_PI * scale * gamma,
+        gamma_d=TWO_PI * scale * gamma_d, omega_c=0.0, omega_d=TWO_PI * scale * sign * delta,
+        transfer_qd_to_cavity=TWO_PI * scale * to_cavity,
+        transfer_cavity_to_qd=TWO_PI * scale * to_qd,
+    )
+    drive = DriveSpec(target=target, omega_l=0.0, omega_rabi=TWO_PI * scale * rabi)
+    laser = TWO_PI * scale * sign * (centre + span * np.linspace(-0.5, 0.5, points))
+    return laser_scan_steady_states(params, drive, n_max, list(laser[:: int(sign)]))
+
+
+class TestScanSymmetries:
+    """Exact symmetries of the master equation, checked on the scan path without a second solver.
+
+    Rescaling every rate and frequency by ``s`` rescales the generator, so no state moves.  In
+    the basis ``H`` and every jump operator are real, so negating both detunings and the laser's
+    gives ``-H`` up to the sign of ``g`` and of the drive, a diagonal unitary: the states are
+    conjugated and the occupations stay.
+    """
+
+    @settings(max_examples=100)
+    @given(scale=st.floats(0.01, 100.0), **SCAN_SYSTEMS)
+    def test_rescaling_every_rate_and_frequency_keeps_the_occupations(self, scale, **system):
+        assert relative_change(scan_twin(**system), scan_twin(**system, scale=scale)) < 1e-12
+
+    @settings(max_examples=100)
+    @given(**SCAN_SYSTEMS)
+    def test_mirrored_detunings_reverse_the_occupations(self, **system):
+        mirrored = scan_twin(**system, sign=-1.0)
+        assert relative_change(scan_twin(**system)[::-1], mirrored) < 1e-12
 
 
 class TestSteadyState:

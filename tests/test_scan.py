@@ -179,7 +179,7 @@ class TestScanLaser:
     def test_scan_holds_one_copy_of_its_states(self):
         # At its peak a scan holds its states, the gathered sector blocks and one batch of
         # factors (at most STACK_BYTES here), plus the list and the batch's temporaries; a
-        # second copy of the states, or a dense O @ rho per state and read-out, breaks the bound.
+        # second copy of the states breaks the bound.
         params = parse_config(CONFIG_DIR / "example.ini").system
         drive = DriveSpec(
             target=DriveTarget.CAVITY, omega_l=params.omega_c, omega_rabi=TWO_PI * 40.0
@@ -188,7 +188,7 @@ class TestScanLaser:
         n_max = 20
         sectors = lindblad._Sectors(lindblad._generator(params, drive, n_max))
         blocks = sum(block.nbytes for block in sectors.blocks.values())
-        states = grid.size * lindblad._readout(n_max)[0].nbytes
+        states = grid.size * 16 * (2 * (n_max + 1)) ** 2
         tracemalloc.start()
         try:
             scan_laser(params, drive, grid, EmissionChannel.CAVITY, n_max, check_truncation=False)
