@@ -576,6 +576,11 @@ class TestScanCommand:
         # p_tilde = 0.1 predicts 5.03 GHz; the exact line is a bit narrower
         # at this moderate detuning ratio.
         assert float(report["fwhm_ghz"]) == pytest.approx(5.03, rel=0.1)
+        # The CSV fits back to the line the scan reported.
+        rc, fit_report, _ = run_cli(capsys, ["fit", "lorentzian", str(csv_path)])
+        assert rc == 0
+        assert fit_report["converged"] == "True"
+        assert fit_report.items() <= report.items()
 
     def test_cavity_target_scan_fits_the_cavity_branch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path))
@@ -842,13 +847,20 @@ class TestReproduceCommand:
             assert (tmp_path / f"table1_{label}_saturation.csv").is_file()
             assert (tmp_path / f"table1_{label}_linewidths.csv").is_file()
         # Each calibration CSV refits within 9 steps: the log-spaced grid ends at 200 / alpha,
-        # so beta = 200/201, which one log-odds step from beta = 1/2 nearly reaches.
+        # so beta = 200/201, which one log-odds step from beta = 1/2 nearly reaches.  Each
+        # linewidth CSV fits with its config's alpha frozen.
         for label in ("S1", "S2", "S3"):
             saturation = tmp_path / f"table1_{label}_saturation.csv"
             rc, fit_report, _ = run_cli(capsys, ["fit", "saturation", str(saturation)])
             assert rc == 0
             assert fit_report["converged"] == "True"
             assert int(fit_report["iterations"]) <= 9
+            alpha = parse_config(CONFIG_DIR / "table1" / f"{label}.ini").alpha_per_uw
+            linewidths = tmp_path / f"table1_{label}_linewidths.csv"
+            argv = ["fit", "power-broadening", str(linewidths), "--alpha", repr(alpha)]
+            rc, fit_report, _ = run_cli(capsys, argv)
+            assert rc == 0
+            assert fit_report["converged"] == "True"
 
     def test_table1_dot_on_the_cavity_omits_the_feeding_estimate(
         self, tmp_path, capsys, monkeypatch
@@ -880,7 +892,10 @@ class TestReproduceCommand:
                 true_slope, rel=0.05
             )
             assert abs(float(report[f"{label}.excess_intercept_ghz"])) < 0.5
-            assert (tmp_path / f"table2_{label}_linewidths.csv").is_file()
+            linewidths = tmp_path / f"table2_{label}_linewidths.csv"
+            rc, fit_report, _ = run_cli(capsys, ["fit", "linear", str(linewidths)])
+            assert rc == 0
+            assert fit_report["slope"] == report[f"{label}.excess_slope_fit_ghz_per_uw"]
 
     def test_each_csv_is_its_model_curve_with_noise_seeded_seed_plus_k(
         self, tmp_path, capsys, monkeypatch
@@ -967,6 +982,15 @@ class TestInProcessCalls:
         assert out.read_bytes() != first_csv
         assert run_cli(capsys, argv) == first
         assert out.read_bytes() == first_csv
+        assert parsers_built == []
+
+    def test_help_lists_every_subcommand(self, capsys, parsers_built):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        for command in ("analytic", "scan", "power-sweep", "reproduce", "fit"):
+            assert re.search(rf"^ +{command} +", usage, flags=re.M), command
         assert parsers_built == []
 
     @pytest.mark.parametrize(

@@ -2,8 +2,8 @@
 
 Each row of ``ROWS`` edits a bundled config or writes a CSV into a temporary directory, runs
 one command with ``CQED_SCOPE_OUT`` under that directory, and checks the real exit status,
-the text on stderr and stdout, and the files the command must not write.  A new console check
-is a new row.
+the text on stderr and stdout, and the files the command must and must not write.  A new
+console check is a new row.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ EXAMPLE = (REPO / "configs" / "example.ini").read_text()
 SATURATION_CSV = "power_uw,intensity\n" + "".join(
     f"{p},{1000.0 * p / (1.0 + p)}\n" for p in (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 )
-CHANNELS = "\n[channels]\ntransfer_qd_to_cavity_ghz = -3.0\ntransfer_cavity_to_qd_ghz = 1.5\n"
+CHANNELS = "\n[channels]\ntransfer_qd_to_cavity_ghz = {}\ntransfer_cavity_to_qd_ghz = 1.5\n"
 
 
 def edited(text: str, *edits: tuple[str, str]) -> str:
@@ -51,8 +51,9 @@ class Row:
     directory; ``files`` are written there first and ``setup`` is then called with it.
 
     ``stdout`` is the whole expected output, or ``None`` to leave it unchecked.  A row with
-    ``same_stdout_as`` must print what that command prints.  ``unwritten`` globs must match
-    no file under the temporary directory afterwards.
+    ``same_stdout_as`` must print what that command prints.  Afterwards each ``written`` path
+    must name a non-empty file under the temporary directory (``CQED_SCOPE_OUT`` is its
+    ``out``), and ``unwritten`` globs must match no file there.
     """
 
     argv: tuple[str, ...]
@@ -62,6 +63,7 @@ class Row:
     files: dict[str, str | bytes] = field(default_factory=dict)
     setup: Callable[[Path], None] | None = None
     same_stdout_as: tuple[str, ...] = ()
+    written: tuple[str, ...] = ()
     unwritten: tuple[str, ...] = ("**/*.csv",)
 
 
@@ -79,7 +81,7 @@ ROWS = {
         argv=("scan", "--config", "{tmp}/negative.ini"),
         code=2,
         stderr="transfer_qd_to_cavity_ghz",
-        files={"negative.ini": EXAMPLE + CHANNELS},
+        files={"negative.ini": EXAMPLE + CHANNELS.format(-3.0)},
     ),
     # The residual tolerance is the solver's, not a config key.
     "steady-residual-tol": Row(
@@ -138,6 +140,50 @@ ROWS = {
         same_stdout_as=("fit", "saturation", "{tmp}/plain.csv"),
         unwritten=(),
     ),
+    # CRLF line endings with a blank line after every row, as hand-edited files have, read the
+    # same.
+    "crlf-blank-lines": Row(
+        argv=("fit", "saturation", "{tmp}/crlf.csv"),
+        code=0,
+        files={
+            "crlf.csv": "".join(f"{line}\r\n\r\n" for line in SATURATION_CSV.splitlines()),
+            "plain.csv": SATURATION_CSV,
+        },
+        same_stdout_as=("fit", "saturation", "{tmp}/plain.csv"),
+        unwritten=(),
+    ),
+    # Transfer channels reach the solver from the config: rates of 3.0 and 1.5 GHz scan.
+    "transfer-channels": Row(
+        argv=("scan", "--config", "{tmp}/channels.ini", "--out", "{tmp}/channels_scan.csv"),
+        code=0,
+        files={"channels.ini": EXAMPLE + CHANNELS.format(3.0)},
+        written=("channels_scan.csv",),
+        unwritten=(),
+    ),
+    # The dot-emission channel: a scan and a power sweep observing the dot write their CSVs.
+    "scan-observe-qd": Row(
+        argv=("scan", "--config", "configs/example.ini", "--observe", "qd",
+              "--out", "{tmp}/qd_scan.csv"),
+        code=0,
+        written=("qd_scan.csv",),
+        unwritten=(),
+    ),
+    "power-sweep-observe-qd": Row(
+        argv=("power-sweep", "--config", "configs/example.ini", "--observe", "qd",
+              "--saturation-out", "{tmp}/qd_saturation.csv",
+              "--linewidths-out", "{tmp}/qd_linewidths.csv"),
+        code=0,
+        written=("qd_saturation.csv", "qd_linewidths.csv"),
+        unwritten=(),
+    ),
+    # Driving the cavity instead of the dot, from the command line.
+    "scan-target-cavity": Row(
+        argv=("scan", "--config", "configs/example.ini", "--target", "cavity",
+              "--out", "{tmp}/cavity_scan.csv"),
+        code=0,
+        written=("cavity_scan.csv",),
+        unwritten=(),
+    ),
 }
 
 
@@ -172,5 +218,7 @@ def test_console_row(tmp_path, row):
         reference = run(row.same_stdout_as, tmp_path)
         assert reference.returncode == 0, reference.stderr
         assert proc.stdout == reference.stdout
+    for name in row.written:
+        assert (tmp_path / name).stat().st_size > 0, name
     for pattern in row.unwritten:
         assert list(tmp_path.glob(pattern)) == []

@@ -556,9 +556,10 @@ SCAN_SYSTEMS = dict(
 
 
 def scan_twin(g, kappa, gamma, gamma_d, to_cavity, to_qd, rabi, delta, centre, span, points,
-              n_max, target, scale=1.0, sign=1.0):
+              n_max, target, scale=1.0, sign=1.0, roll=0):
     """Occupations of a scan in the frame of the cavity, ``omega_c = 0``, every frequency and
-    rate (GHz) times ``scale`` and every detuning and laser frequency times ``sign``."""
+    rate (GHz) times ``scale`` and every detuning and laser frequency times ``sign``, the grid
+    listed rolled by ``roll``."""
     params = SystemParams(
         g=TWO_PI * scale * g, kappa=TWO_PI * scale * kappa, gamma=TWO_PI * scale * gamma,
         gamma_d=TWO_PI * scale * gamma_d, omega_c=0.0, omega_d=TWO_PI * scale * sign * delta,
@@ -567,7 +568,7 @@ def scan_twin(g, kappa, gamma, gamma_d, to_cavity, to_qd, rabi, delta, centre, s
     )
     drive = DriveSpec(target=target, omega_l=0.0, omega_rabi=TWO_PI * scale * rabi)
     laser = TWO_PI * scale * sign * (centre + span * np.linspace(-0.5, 0.5, points))
-    return laser_scan_steady_states(params, drive, n_max, list(laser[:: int(sign)]))
+    return laser_scan_steady_states(params, drive, n_max, list(np.roll(laser[:: int(sign)], roll)))
 
 
 class TestScanSymmetries:
@@ -576,7 +577,9 @@ class TestScanSymmetries:
     Rescaling every rate and frequency by ``s`` rescales the generator, so no state moves.  In
     the basis ``H`` and every jump operator are real, so negating both detunings and the laser's
     gives ``-H`` up to the sign of ``g`` and of the drive, a diagonal unitary: the states are
-    conjugated and the occupations stay.
+    conjugated and the occupations stay.  The generator is listed at the grid's middle point
+    (``omega_ref``), and each point is a shift from there, so listing the same frequencies in
+    another order must move no occupation.
     """
 
     @settings(max_examples=100)
@@ -589,6 +592,15 @@ class TestScanSymmetries:
     def test_mirrored_detunings_reverse_the_occupations(self, **system):
         mirrored = scan_twin(**system, sign=-1.0)
         assert relative_change(scan_twin(**system)[::-1], mirrored) < 1e-12
+
+    @settings(max_examples=100)
+    @given(**SCAN_SYSTEMS)
+    def test_occupations_do_not_depend_on_the_reference_point(self, **system):
+        # Rolled by half its length, the grid lists its middle frequency at its edge and an edge
+        # frequency at its middle.
+        half = system["points"] // 2
+        rolled = scan_twin(**system, roll=-half)
+        assert relative_change(np.roll(scan_twin(**system), -half, axis=0), rolled) < 1e-12
 
 
 class TestSteadyState:
