@@ -771,9 +771,11 @@ workers = 2
         # Bare dot: no power-independent term, intrinsic full width 1 GHz.
         assert float(report["linewidth.delta_omega_0_ghz"]) == pytest.approx(1.0, rel=1e-2)
         assert float(report["linewidth.delta_omega_c_ghz"]) == pytest.approx(0.0, abs=0.05)
-        sat = read_csv(Path(report["saturation_csv"]))
-        widths = read_csv(Path(report["linewidth_csv"]))
-        assert len(sat) == 6 and len(widths) == 6
+        # No [output] section: default names under the output directory.
+        sat_path, lw_path = Path(report["saturation_csv"]), Path(report["linewidth_csv"])
+        assert sat_path == tmp_path / "cqed_saturation.csv"
+        assert lw_path == tmp_path / "cqed_linewidths.csv"
+        assert len(read_csv(sat_path)) == 6 and len(read_csv(lw_path)) == 6
 
     def test_sweep_rerun_is_byte_identical(self, tmp_path, capsys, monkeypatch):
         path = write_ini(tmp_path, self.BARE_DOT)
@@ -895,7 +897,10 @@ class TestReproduceCommand:
             linewidths = tmp_path / f"table2_{label}_linewidths.csv"
             rc, fit_report, _ = run_cli(capsys, ["fit", "linear", str(linewidths)])
             assert rc == 0
-            assert fit_report["slope"] == report[f"{label}.excess_slope_fit_ghz_per_uw"]
+            # The report fits the excess over the intrinsic width, so the slopes agree to rounding.
+            assert float(fit_report["slope"]) == pytest.approx(
+                float(report[f"{label}.excess_slope_fit_ghz_per_uw"]), rel=1e-9
+            )
 
     def test_each_csv_is_its_model_curve_with_noise_seeded_seed_plus_k(
         self, tmp_path, capsys, monkeypatch
